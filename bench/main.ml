@@ -67,19 +67,37 @@ let rng () = Sutil.Rng.create !seed
 
 let section name = Printf.printf "\n===== %s =====\n%!" name
 
+(* where an artifact file goes: the --out directory (created on demand),
+   else the working directory *)
+let artifact_path file =
+  match !out_dir with
+  | None -> file
+  | Some dir ->
+    (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+    Filename.concat dir file
+
+let write_file path contents =
+  let oc = open_out path in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () -> output_string oc contents)
+
 (* print a table; also write it as CSV when --out is given *)
 let emit_table ~artifact t =
   Sutil.Table.print t;
-  match !out_dir with
-  | None -> ()
-  | Some dir ->
-    (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    let path = Filename.concat dir (artifact ^ ".csv") in
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc (Sutil.Table.to_csv t));
+  if !out_dir <> None then begin
+    let path = artifact_path (artifact ^ ".csv") in
+    write_file path (Sutil.Table.to_csv t);
     Printf.printf "(csv written to %s)\n" path
+  end
+
+(* write one JSON object as BENCH_<artifact>.json and say where *)
+let emit_json ~artifact json =
+  let path = artifact_path ("BENCH_" ^ artifact ^ ".json") in
+  write_file path (Scaguard.Json.to_string json ^ "\n");
+  Printf.printf "(json written to %s)\n" path
+
+let jint n = Scaguard.Json.Num (float_of_int n)
 
 (* ---- Table I: the HPC events (static reference) -------------------------- *)
 
@@ -847,7 +865,7 @@ let index_bench () =
         "speedup"; "visited"; "pruned by index"; "nodes";
       ]
   in
-  let json_rows = Buffer.create 256 in
+  let json_rows = ref [] in
   List.iter
     (fun scale ->
       if scale < 1 then fail "index: scale must be >= 1";
@@ -928,40 +946,32 @@ let index_bench () =
           string_of_int ixc.Scaguard.Vpindex.pairs_pruned_index;
           string_of_int ixc.Scaguard.Vpindex.nodes_visited;
         ];
-      if Buffer.length json_rows > 0 then Buffer.add_string json_rows ",";
-      Buffer.add_string json_rows
-        (Printf.sprintf
-           "{\"models\":%d,\"targets\":%d,\"pairs\":%d,\"build_s\":%.6f,\
-            \"linear_s\":%.6f,\"indexed_s\":%.6f,\"speedup\":%.4f,\
-            \"lb_evals_linear\":%d,\"lb_evals_indexed\":%d,\
-            \"visited_fraction\":%.6f,\"pairs_pruned_index\":%d,\
-            \"nodes_visited\":%d,\"identical\":true}"
-           scale tcount (scale * tcount) build_dt lin_dt ix_dt
-           (lin_dt /. ix_dt) lin_evals ix_evals visited
-           ixc.Scaguard.Vpindex.pairs_pruned_index
-           ixc.Scaguard.Vpindex.nodes_visited))
+      json_rows :=
+        Scaguard.Json.Obj
+          [
+            ("models", jint scale);
+            ("targets", jint tcount);
+            ("pairs", jint (scale * tcount));
+            ("build_s", Scaguard.Json.Num build_dt);
+            ("linear_s", Scaguard.Json.Num lin_dt);
+            ("indexed_s", Scaguard.Json.Num ix_dt);
+            ("speedup", Scaguard.Json.Num (lin_dt /. ix_dt));
+            ("lb_evals_linear", jint lin_evals);
+            ("lb_evals_indexed", jint ix_evals);
+            ("visited_fraction", Scaguard.Json.Num visited);
+            ("pairs_pruned_index", jint ixc.Scaguard.Vpindex.pairs_pruned_index);
+            ("nodes_visited", jint ixc.Scaguard.Vpindex.nodes_visited);
+            ("identical", Scaguard.Json.Bool true);
+          ]
+        :: !json_rows)
     !index_scales;
   emit_table ~artifact:"index" t;
-  let json =
-    Printf.sprintf "{\"seed\":%d,\"scales\":[%s]}\n" !seed
-      (Buffer.contents json_rows)
-  in
-  let json_path =
-    match !out_dir with
-    | Some dir ->
-      (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-      Filename.concat dir "BENCH_index.json"
-    | None -> "BENCH_index.json"
-  in
-  let oc = open_out json_path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc json);
+  emit_json ~artifact:"index"
+    (Scaguard.Json.Obj
+       [ ("seed", jint !seed); ("scales", Scaguard.Json.List (List.rev !json_rows)) ]);
   Printf.printf
-    "(json written to %s)\n\
-     verdicts: indexed classification bit-identical to the linear cascade \
+    "verdicts: indexed classification bit-identical to the linear cascade \
      at every scale\n"
-    json_path
 
 (* ---- Obs: overhead and purity of the observation switches ------------------------- *)
 
@@ -1093,32 +1103,30 @@ let obs_bench () =
       "-";
       "-";
     ];
-  let json_rows = Buffer.create 256 in
-  Buffer.add_string json_rows
-    (Printf.sprintf "{\"name\":\"baseline\",\"wall_s\":%.6f,\"pairs_per_s\":%.1f}"
-       base_dt
-       (float_of_int pairs /. base_dt));
   let prov_overhead = ref 0.0 in
-  List.iter
-    (fun (name, dt) ->
-      let overhead = (dt -. base_dt) /. base_dt *. 100.0 in
-      if name = "provenance" then prov_overhead := overhead;
-      Sutil.Table.add_row t
-        [
-          name;
-          Printf.sprintf "%.4f" dt;
-          Printf.sprintf "%.0f" (float_of_int pairs /. dt);
-          Printf.sprintf "%+.1f%%" overhead;
-          "yes";
-        ];
-      Buffer.add_string json_rows
-        (Printf.sprintf
-           ",{\"name\":%S,\"wall_s\":%.6f,\"pairs_per_s\":%.1f,\
-            \"overhead_pct\":%.2f,\"identical\":true}"
-           name dt
-           (float_of_int pairs /. dt)
-           overhead))
-    timed;
+  let mode_rows =
+    List.map
+      (fun (name, dt) ->
+        let overhead = (dt -. base_dt) /. base_dt *. 100.0 in
+        if name = "provenance" then prov_overhead := overhead;
+        Sutil.Table.add_row t
+          [
+            name;
+            Printf.sprintf "%.4f" dt;
+            Printf.sprintf "%.0f" (float_of_int pairs /. dt);
+            Printf.sprintf "%+.1f%%" overhead;
+            "yes";
+          ];
+        Scaguard.Json.Obj
+          [
+            ("name", Scaguard.Json.Str name);
+            ("wall_s", Scaguard.Json.Num dt);
+            ("pairs_per_s", Scaguard.Json.Num (float_of_int pairs /. dt));
+            ("overhead_pct", Scaguard.Json.Num overhead);
+            ("identical", Scaguard.Json.Bool true);
+          ])
+      timed
+  in
   all_off ();
   Scaguard.Provenance.clear ();
   Scaguard.Log.clear ();
@@ -1126,23 +1134,23 @@ let obs_bench () =
   Scaguard.Obs.set_tracing prev_tracing;
   Scaguard.Obs.set_metrics prev_metrics;
   emit_table ~artifact:"obs" t;
-  let json =
-    Printf.sprintf
-      "{\"seed\":%d,\"per_family\":%d,\"batch\":%d,\"pairs\":%d,\"modes\":[%s]}\n"
-      !seed !per_family batch pairs (Buffer.contents json_rows)
+  let baseline =
+    Scaguard.Json.Obj
+      [
+        ("name", Scaguard.Json.Str "baseline");
+        ("wall_s", Scaguard.Json.Num base_dt);
+        ("pairs_per_s", Scaguard.Json.Num (float_of_int pairs /. base_dt));
+      ]
   in
-  let json_path =
-    match !out_dir with
-    | Some dir ->
-      (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-      Filename.concat dir "BENCH_obs.json"
-    | None -> "BENCH_obs.json"
-  in
-  let oc = open_out json_path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc json);
-  Printf.printf "(json written to %s)\n" json_path;
+  emit_json ~artifact:"obs"
+    (Scaguard.Json.Obj
+       [
+         ("seed", jint !seed);
+         ("per_family", jint !per_family);
+         ("batch", jint batch);
+         ("pairs", jint pairs);
+         ("modes", Scaguard.Json.List (baseline :: mode_rows));
+       ]);
   Printf.printf "verdicts: bit-identical to the all-off baseline under every switch\n";
   Printf.printf "provenance overhead: %+.1f%% (target < 5%%)\n" !prov_overhead;
   if !prov_overhead >= 5.0 then
@@ -1207,11 +1215,20 @@ let serve_bench () =
   let n = List.length names in
   Printf.printf "serving %d single-target detect requests (%d resident PoCs)...\n%!"
     n (List.length repo);
+  let request id name =
+    J.to_string
+      (J.Obj
+         [
+           ("id", jint id);
+           ("op", J.Str "detect");
+           ("targets", J.List [ J.Str name ]);
+           ("seed", jint !seed);
+         ])
+    ^ "\n"
+  in
   (* warm the first-touch costs out of the measured loop, like a resident
      daemon that has already answered a request *)
-  Server.feed server conn
-    (Printf.sprintf "{\"id\":0,\"op\":\"detect\",\"targets\":[%S],\"seed\":%d}\n"
-       (List.hd names) !seed);
+  Server.feed server conn (request 0 (List.hd names));
   ignore (Server.drain server);
   frames := [];
   let t_all0 = Scaguard.Obs.Clock.now_ns () in
@@ -1219,10 +1236,7 @@ let serve_bench () =
     List.mapi
       (fun i name ->
         let t0 = Scaguard.Obs.Clock.now_ns () in
-        Server.feed server conn
-          (Printf.sprintf
-             "{\"id\":%d,\"op\":\"detect\",\"targets\":[%S],\"seed\":%d}\n"
-             (i + 1) name !seed);
+        Server.feed server conn (request (i + 1) name);
         (match Server.drain server with
         | `Idle -> ()
         | `Stop -> fail "serve: unexpected stop");
@@ -1321,30 +1335,17 @@ let compare_bench () =
       "compare: ensemble throughput %.1f runs/s below pure SCAGuard's %.1f \
        — the screen costs more than the DTW it skips"
       en.S.throughput sg.S.throughput;
-  let json =
-    Printf.sprintf "{\"seed\":%d,\"showdown\":%s}\n" !seed (S.to_json t)
-  in
-  let json_path =
-    match !out_dir with
-    | Some dir ->
-      (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-      Filename.concat dir "BENCH_compare.json"
-    | None -> "BENCH_compare.json"
-  in
-  let oc = open_out json_path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc json);
+  emit_json ~artifact:"compare"
+    (Scaguard.Json.Obj [ ("seed", jint !seed); ("showdown", S.to_json t) ]);
   let stats =
     match en.S.ensemble with
     | Some s -> s
     | None -> fail "compare: ensemble row carries no screening stats"
   in
   Printf.printf
-    "(json written to %s)\n\
-     verdicts: ensemble >= SCAGuard on detection F1 (%.4f vs %.4f) and \
+    "verdicts: ensemble >= SCAGuard on detection F1 (%.4f vs %.4f) and \
      throughput (%.1f vs %.1f runs/s), slow path %d/%d\n"
-    json_path en.S.detection.Ml.Metrics.f1 sg.S.detection.Ml.Metrics.f1
+    en.S.detection.Ml.Metrics.f1 sg.S.detection.Ml.Metrics.f1
     en.S.throughput sg.S.throughput stats.Detect.Ensemble.slow_path
     stats.Detect.Ensemble.screened
 

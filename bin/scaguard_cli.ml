@@ -434,7 +434,8 @@ let compare_cmd =
        let t =
          Experiments.Showdown.evaluate ?detectors ?tau ~rng ~per_family ()
        in
-       if json then print_endline (Experiments.Showdown.to_json t)
+       if json then
+         print_endline (Scaguard.Json.to_string (Experiments.Showdown.to_json t))
        else begin
          Sutil.Table.print (Experiments.Showdown.to_table t);
          Printf.printf
@@ -677,18 +678,14 @@ let detect_batch_cmd =
               repo_report;
             Format.printf "%a@." Scaguard.Service.pp_report report
           | `Json ->
-            let buf = Buffer.create 512 in
-            Buffer.add_string buf "{";
-            Option.iter
-              (fun (_, json_key, r) ->
-                Buffer.add_string buf (Printf.sprintf "%S:" json_key);
-                Buffer.add_string buf (Scaguard.Service.report_to_json r);
-                Buffer.add_string buf ",")
-              repo_report;
-            Buffer.add_string buf "\"run\":";
-            Buffer.add_string buf (Scaguard.Service.report_to_json report);
-            Buffer.add_string buf "}";
-            print_endline (Buffer.contents buf));
+            let part (key, r) = (key, Scaguard.Service.report_json r) in
+            let repo_part =
+              Option.map (fun (_, key, r) -> part (key, r)) repo_report
+            in
+            print_endline
+              (Scaguard.Json.to_string
+                 (Scaguard.Json.Obj
+                    (Option.to_list repo_part @ [ part ("run", report) ]))));
        if log_out <> None then begin
          let attacks =
            Array.fold_left

@@ -185,27 +185,64 @@ let to_table t =
 
 let class_name i = L.to_string (Common.label_of_int i)
 
-let row_to_json r =
-  let ensemble =
-    match r.ensemble with
-    | None -> "null"
-    | Some s ->
-      Printf.sprintf
-        {|{"screened":%d,"fast_rejects":%d,"slow_path":%d,"slow_confirms":%d,"slow_path_rate":%.17g}|}
-        s.Detect.Ensemble.screened s.Detect.Ensemble.fast_rejects
-        s.Detect.Ensemble.slow_path s.Detect.Ensemble.slow_confirms
-        (Detect.Ensemble.slow_path_rate s)
-  in
-  Printf.sprintf
-    {|{"key":%S,"name":%S,"scores":%s,"per_class":%s,"detection":%s,"train_s":%.17g,"predict_s":%.17g,"tested":%d,"throughput":%.17g,"ensemble":%s}|}
-    r.key r.name
-    (Ml.Metrics.to_json r.scores)
-    (Ml.Metrics.class_scores_to_json ~name:class_name r.per_class)
-    (Ml.Metrics.to_json r.detection)
-    r.train_s r.predict_s r.tested r.throughput ensemble
+module Json = Scaguard.Json
+
+let int n = Json.Num (float_of_int n)
+
+let scores_json (s : Ml.Metrics.scores) =
+  Json.Obj
+    [
+      ("precision", Json.Num s.Ml.Metrics.precision);
+      ("recall", Json.Num s.Ml.Metrics.recall);
+      ("f1", Json.Num s.Ml.Metrics.f1);
+      ("accuracy", Json.Num s.Ml.Metrics.accuracy);
+    ]
+
+let class_scores_json (c : Ml.Metrics.class_scores) =
+  Json.Obj
+    [
+      ("class", Json.Str (class_name c.Ml.Metrics.cls));
+      ("support", int c.Ml.Metrics.support);
+      ("tp", int c.Ml.Metrics.tp);
+      ("fp", int c.Ml.Metrics.fp);
+      ("fn", int c.Ml.Metrics.fn);
+      ("precision", Json.Num c.Ml.Metrics.c_precision);
+      ("recall", Json.Num c.Ml.Metrics.c_recall);
+      ("f1", Json.Num c.Ml.Metrics.c_f1);
+    ]
+
+let ensemble_json (s : Detect.Ensemble.stats) =
+  Json.Obj
+    [
+      ("screened", int s.Detect.Ensemble.screened);
+      ("fast_rejects", int s.Detect.Ensemble.fast_rejects);
+      ("slow_path", int s.Detect.Ensemble.slow_path);
+      ("slow_confirms", int s.Detect.Ensemble.slow_confirms);
+      ("slow_path_rate", Json.Num (Detect.Ensemble.slow_path_rate s));
+    ]
+
+let row_json r =
+  Json.Obj
+    [
+      ("key", Json.Str r.key);
+      ("name", Json.Str r.name);
+      ("scores", scores_json r.scores);
+      ("per_class", Json.List (List.map class_scores_json r.per_class));
+      ("detection", scores_json r.detection);
+      ("train_s", Json.Num r.train_s);
+      ("predict_s", Json.Num r.predict_s);
+      ("tested", int r.tested);
+      ("throughput", Json.Num r.throughput);
+      ("ensemble", Option.fold ~none:Json.Null ~some:ensemble_json r.ensemble);
+    ]
 
 let to_json t =
-  Printf.sprintf
-    {|{"per_family":%d,"train":%d,"test":%d,"tau":%.17g,"prep_s":%.17g,"detectors":[%s]}|}
-    t.per_family t.train_size t.test_size t.tau t.prep_s
-    (String.concat "," (List.map row_to_json t.rows))
+  Json.Obj
+    [
+      ("per_family", int t.per_family);
+      ("train", int t.train_size);
+      ("test", int t.test_size);
+      ("tau", Json.Num t.tau);
+      ("prep_s", Json.Num t.prep_s);
+      ("detectors", Json.List (List.map row_json t.rows));
+    ]

@@ -48,4 +48,7 @@ val evaluate :
     @raise Invalid_argument on an unknown detector key. *)
 
 val to_table : t -> Sutil.Table.t
-val to_json : t -> string
+val to_json : t -> Scaguard.Json.t
+(** The showdown as one JSON object: per-detector macro scores, per-class
+    breakdown (classes by label name), detection scores, timings and the
+    ensemble's screen counters ([null] for other detectors). *)

@@ -158,6 +158,16 @@ let r_str16 c =
   c.pos <- c.pos + n;
   s
 
+(* A count is trusted only as far as the remaining bytes can back it: each
+   record it announces takes at least [min_bytes], so a larger count is
+   corruption, rejected before anything is allocated by it. *)
+let r_count c ~what ~min_bytes n =
+  if n * min_bytes > String.length c.data - c.pos then
+    failwith
+      (Printf.sprintf "Binary: %s count %d exceeds the remaining %d bytes" what
+         n (String.length c.data - c.pos));
+  n
+
 let r_reg c =
   let i = r_u8 c in
   if i >= Reg.count then failwith "Binary: bad register";
@@ -183,7 +193,8 @@ let decode data =
   c.pos <- String.length magic;
   let base = r_u32 c in
   let name = r_str16 c in
-  let n_labels = r_u16 c in
+  (* a label is a u32 index plus a u16-prefixed name: at least 6 bytes *)
+  let n_labels = r_count c ~what:"label" ~min_bytes:6 (r_u16 c) in
   let labels = Array.init n_labels (fun _ ->
       let idx = r_u32 c in
       let l = r_str16 c in
@@ -193,7 +204,8 @@ let decode data =
     if i >= n_labels then failwith "Binary: bad label reference";
     fst labels.(i)
   in
-  let n_instrs = r_u32 c in
+  (* an instruction is at least its opcode byte *)
+  let n_instrs = r_count c ~what:"instruction" ~min_bytes:1 (r_u32 c) in
   let r_target () = label_name (r_u16 c) in
   let instrs =
     Array.init n_instrs (fun _ ->

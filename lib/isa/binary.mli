@@ -16,8 +16,11 @@ val encode : Program.t -> string
 (** Serialize to bytes. *)
 
 val decode : string -> Program.t
-(** @raise Failure on malformed input (bad magic, truncation, unknown
-    opcodes, out-of-range label references). *)
+(** @raise Failure on malformed input (bad magic, truncation, a label or
+    instruction count larger than the remaining bytes can hold, unknown
+    opcodes, out-of-range label references).  Nothing is allocated by an
+    unchecked count, so hostile input fails in memory bounded by its own
+    size. *)
 
 val write_file : path:string -> Program.t -> unit
 val read_file : path:string -> Program.t

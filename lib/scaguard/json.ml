@@ -1,9 +1,10 @@
-(* Strict, dependency-free JSON for the wire protocol, the structured
-   event log and the provenance records.  Extracted verbatim from the
-   serve daemon (Server re-exports it as [Server.Json], so existing
-   protocol code keeps compiling).  The parser is strict on purpose: a
-   hostile frame can fail one request but never desynchronize a stream
-   or smuggle raw control bytes into a reply. *)
+(* Strict, dependency-free JSON: the one writer and parser for every JSON
+   the codebase emits or reads — the wire protocol, the trace, the event
+   log, the provenance records, the run report and the bench artifacts.
+   (Server re-exports it as [Server.Json], so existing protocol code keeps
+   compiling.)  The parser is strict on purpose: a hostile frame can fail
+   one request but never desynchronize a stream or smuggle raw control
+   bytes into a reply. *)
 
 type t =
   | Null
@@ -222,9 +223,6 @@ let parse s =
   | v -> Ok v
   | exception Fail (p, msg) -> Error (Printf.sprintf "%s at byte %d" msg p)
 
-(* Same escaping as [Obs.Json.escape], duplicated here because this module
-   sits below [Obs] in the dependency order (Obs -> Persist -> Detector ->
-   Provenance -> Json). *)
 let escape s =
   let buf = Buffer.create (String.length s + 8) in
   String.iter
@@ -281,6 +279,15 @@ let rec to_buf b = function
 let to_string v =
   let b = Buffer.create 256 in
   to_buf b v;
+  Buffer.contents b
+
+let to_lines vs =
+  let b = Buffer.create 1024 in
+  List.iter
+    (fun v ->
+      to_buf b v;
+      Buffer.add_char b '\n')
+    vs;
   Buffer.contents b
 
 let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None

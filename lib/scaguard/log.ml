@@ -5,7 +5,7 @@
    nothing on the detection path reads back; (2) a zero-cost disabled path —
    every emission site performs one ref load and branch when the log is off,
    allocating nothing; (3) non-blocking, bounded buffering — events go on a
-   lock-free Treiber stack (the same shape as [Obs]'s span log) with a hard
+   bounded [Sutil.Sink] (the same sink as [Obs]'s span log) with a hard
    cap, so a runaway emitter can stall neither the engine workers nor the
    serve drainer, and memory stays bounded; overflow is counted, not waited
    on.  Timestamps come from [Obs.Clock] (monotonic), so event order in the
@@ -52,8 +52,6 @@ type event = {
 let capture_on = ref false
 let capture_level = ref Debug
 let stderr_level : level option ref = ref (Some Info)
-let default_capacity = 8192
-let capacity = ref default_capacity
 
 let enabled () = !capture_on
 let set_capture b = capture_on := b
@@ -62,40 +60,14 @@ let set_level l = capture_level := l
 let mirror_level () = !stderr_level
 let set_mirror_level l = stderr_level := l
 
-let set_capacity n =
-  if n < 1 then invalid_arg "Log.set_capacity: capacity must be >= 1";
-  capacity := n
-
 (* ---- the bounded sink ------------------------------------------------------- *)
 
-let sink : event list Atomic.t = Atomic.make []
+let capacity = 8192
+let sink = Sutil.Sink.create ~capacity ~order:(fun a b -> Int.compare a.seq b.seq)
 let seq_counter = Atomic.make 0
-let length = Atomic.make 0
-let dropped_counter = Atomic.make 0
-
-let rec push_event e =
-  let cur = Atomic.get sink in
-  if not (Atomic.compare_and_set sink cur (e :: cur)) then push_event e
-
-let capture e =
-  (* bound first, push second: the length counter may transiently overshoot
-     under contention, which errs on the side of dropping — never of
-     unbounded growth or blocking *)
-  if Atomic.fetch_and_add length 1 < !capacity then push_event e
-  else begin
-    ignore (Atomic.fetch_and_add length (-1));
-    ignore (Atomic.fetch_and_add dropped_counter 1)
-  end
-
-let dropped () = Atomic.get dropped_counter
-
-let events () =
-  List.sort (fun a b -> compare a.seq b.seq) (Atomic.get sink)
-
-let clear () =
-  Atomic.set sink [];
-  Atomic.set length 0;
-  Atomic.set dropped_counter 0
+let dropped () = Sutil.Sink.dropped sink
+let events () = Sutil.Sink.contents sink
+let clear () = Sutil.Sink.clear sink
 
 (* ---- emission --------------------------------------------------------------- *)
 
@@ -113,7 +85,7 @@ let event ?trace_id ?(fields = []) lvl name message =
     let trace_id =
       match trace_id with Some _ as t -> t | None -> Obs.trace_id ()
     in
-    capture
+    Sutil.Sink.push sink
       {
         seq = Atomic.fetch_and_add seq_counter 1;
         ts_ns = Obs.Clock.now_ns ();
@@ -181,30 +153,26 @@ let event_to_json e =
       | fields -> [ ("fields", Json.Obj fields) ]))
 
 let to_jsonl evs =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun e ->
-      Json.to_buf buf (event_to_json e);
-      Buffer.add_char buf '\n')
-    evs;
   (* the overflow marker is part of the record: a truncated log must say so *)
-  let d = dropped () in
-  if d > 0 then begin
-    Json.to_buf buf
-      (Json.Obj
-         [
-           ("level", Json.Str "warn");
-           ("event", Json.Str "log.dropped");
-           ( "msg",
-             Json.Str
-               (Printf.sprintf
-                  "%d events dropped: capture buffer full (capacity %d)" d
-                  !capacity) );
-           ("dropped", Json.Num (float_of_int d));
-         ]);
-    Buffer.add_char buf '\n'
-  end;
-  Buffer.contents buf
+  let marker =
+    match dropped () with
+    | 0 -> []
+    | d ->
+      [
+        Json.Obj
+          [
+            ("level", Json.Str "warn");
+            ("event", Json.Str "log.dropped");
+            ( "msg",
+              Json.Str
+                (Printf.sprintf
+                   "%d events dropped: capture buffer full (capacity %d)" d
+                   capacity) );
+            ("dropped", Json.Num (float_of_int d));
+          ];
+      ]
+  in
+  Json.to_lines (List.map event_to_json evs @ marker)
 
 let write ~path =
   match Persist.write_atomic ~path (to_jsonl (events ())) with

@@ -3,8 +3,8 @@
     Replaces ad-hoc stderr prints across the CLI, daemon and cache with one
     emission API that feeds two independent outputs:
 
-    - a {b bounded, non-blocking capture buffer} (a lock-free Treiber stack
-      with a hard cap — overflow is counted in {!dropped}, never waited on),
+    - a {b bounded, non-blocking capture buffer} (a {!Sutil.Sink} with a
+      hard cap — overflow is counted in {!dropped}, never waited on),
       drained into a JSON-Lines artifact by {!write}
       ([detect-batch --log-out]);
     - a {b stderr mirror} at a configurable minimum severity, preserving the
@@ -58,10 +58,9 @@ val set_mirror_level : level option -> unit
     default, [Some Info], keeps the CLI's and daemon's existing stderr
     lines byte-identical. *)
 
-val set_capacity : int -> unit
-(** Capture-buffer bound (default 8192 events).  Once full, further events
-    are counted in {!dropped} and discarded — emission never blocks.
-    @raise Invalid_argument if [< 1]. *)
+val capacity : int
+(** Capture-buffer bound (8192 events).  Once full, further events are
+    counted in {!dropped} and discarded — emission never blocks. *)
 
 (** {1 Emission} *)
 

@@ -22,32 +22,6 @@ module Clock = struct
   let elapsed_s ~since = ns_to_s (elapsed_ns ~since)
 end
 
-(* ---- minimal JSON emission -------------------------------------------------- *)
-
-module Json = struct
-  let escape s =
-    let buf = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\r' -> Buffer.add_string buf "\\r"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-
-  let str s = "\"" ^ escape s ^ "\""
-
-  (* JSON numbers must be finite; clamp the rest to null. *)
-  let float f =
-    if Float.is_finite f then Printf.sprintf "%.17g" f else "null"
-end
-
 (* ---- metrics registry ------------------------------------------------------- *)
 
 module Registry = struct
@@ -369,13 +343,16 @@ type span = {
   args : (string * string) list;
 }
 
-(* Completed spans go on a Treiber stack: lock-free push from any domain,
-   drained and time-sorted only when the trace is written. *)
-let span_log : span list Atomic.t = Atomic.make []
+(* Completed spans go to a bounded sink: lock-free push from any domain,
+   time-sorted only when the trace is written.  Past the bound spans are
+   counted, not kept, and the written trace says how many were lost. *)
+let span_capacity = 131072
 
-let rec push_span s =
-  let cur = Atomic.get span_log in
-  if not (Atomic.compare_and_set span_log cur (s :: cur)) then push_span s
+let span_sink =
+  Sutil.Sink.create ~capacity:span_capacity ~order:(fun a b ->
+      match Int64.compare a.ts_ns b.ts_ns with
+      | 0 -> compare (a.tid, a.name) (b.tid, b.name)
+      | c -> c)
 
 let emit_span ?(cat = "scaguard") ?tid ?(args = []) ~name ~ts_ns ~dur_ns () =
   if !tracing_on then
@@ -387,7 +364,7 @@ let emit_span ?(cat = "scaguard") ?tid ?(args = []) ~name ~ts_ns ~dur_ns () =
       | Some t -> ("trace_id", t) :: args
       | None -> args
     in
-    push_span { name; cat; tid; ts_ns; dur_ns; args }
+    Sutil.Sink.push span_sink { name; cat; tid; ts_ns; dur_ns; args }
 
 let with_span ?cat ?tid ?args name f =
   if !tracing_on then begin
@@ -400,15 +377,9 @@ let with_span ?cat ?tid ?args name f =
   end
   else f ()
 
-let spans () =
-  List.sort
-    (fun a b ->
-      match Int64.compare a.ts_ns b.ts_ns with
-      | 0 -> compare (a.tid, a.name) (b.tid, b.name)
-      | c -> c)
-    (Atomic.get span_log)
-
-let clear_spans () = Atomic.set span_log []
+let spans () = Sutil.Sink.contents span_sink
+let dropped_spans () = Sutil.Sink.dropped span_sink
+let clear_spans () = Sutil.Sink.clear span_sink
 
 (* ---- trace writer ----------------------------------------------------------- *)
 
@@ -416,31 +387,44 @@ module Trace_writer = struct
   (* Chrome trace-event format, "X" (complete) events with microsecond
      timestamps — loads directly in chrome://tracing and ui.perfetto.dev. *)
 
-  let event buf (s : span) =
-    let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-    add "{\"name\":%s,\"cat\":%s,\"ph\":\"X\",\"pid\":1,\"tid\":%d" (Json.str s.name)
-      (Json.str s.cat) s.tid;
-    add ",\"ts\":%s,\"dur\":%s" (Json.float (Clock.ns_to_us s.ts_ns))
-      (Json.float (Clock.ns_to_us s.dur_ns));
-    (match s.args with
-    | [] -> ()
-    | args ->
-      add ",\"args\":{%s}"
-        (String.concat ","
-           (List.map (fun (k, v) -> Json.str k ^ ":" ^ Json.str v) args)));
-    add "}"
+  let event (s : span) =
+    Json.Obj
+      ([
+         ("name", Json.Str s.name);
+         ("cat", Json.Str s.cat);
+         ("ph", Json.Str "X");
+         ("pid", Json.Num 1.0);
+         ("tid", Json.Num (float_of_int s.tid));
+         ("ts", Json.Num (Clock.ns_to_us s.ts_ns));
+         ("dur", Json.Num (Clock.ns_to_us s.dur_ns));
+       ]
+      @
+      match s.args with
+      | [] -> []
+      | args ->
+        [ ("args", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) args)) ])
+
+  (* the overflow marker is part of the trace: a truncated trace must say
+     so, like the log's [log.dropped] line *)
+  let dropped_marker () =
+    match dropped_spans () with
+    | 0 -> []
+    | d ->
+      let args =
+        [ ("dropped", string_of_int d); ("capacity", string_of_int span_capacity) ]
+      in
+      [ { name = "trace.dropped"; cat = "trace"; tid = 0; ts_ns = 0L;
+          dur_ns = 0L; args } ]
 
   let to_json spans =
-    let buf = Buffer.create 4096 in
-    Buffer.add_string buf "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-    List.iteri
-      (fun i s ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf "\n  ";
-        event buf s)
-      spans;
-    Buffer.add_string buf "\n]}\n";
-    Buffer.contents buf
+    Json.to_string
+      (Json.Obj
+         [
+           ("displayTimeUnit", Json.Str "ms");
+           ( "traceEvents",
+             Json.List (List.map event (spans @ dropped_marker ())) );
+         ])
+    ^ "\n"
 
   let write ~path spans =
     match Persist.write_atomic ~path (to_json spans) with

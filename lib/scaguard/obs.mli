@@ -90,7 +90,9 @@ val emit_span :
   unit ->
   unit
 (** Record a completed span (lock-free push; safe from any domain).  No-op
-    when tracing is off.  [tid] defaults to the calling domain's id. *)
+    when tracing is off.  [tid] defaults to the calling domain's id.  Once
+    {!span_capacity} spans are held, further spans are counted in
+    {!dropped_spans} and discarded — emission never blocks. *)
 
 val with_span :
   ?cat:string ->
@@ -104,6 +106,13 @@ val with_span :
 
 val spans : unit -> span list
 (** All spans recorded since the last {!clear_spans}, sorted by start time. *)
+
+val span_capacity : int
+(** The span buffer's bound (131072 spans). *)
+
+val dropped_spans : unit -> int
+(** Spans discarded because the buffer was full, since the last
+    {!clear_spans}. *)
 
 val clear_spans : unit -> unit
 
@@ -299,6 +308,10 @@ val export_build_info :
 (** Chrome trace-event JSON ("X" complete events, microsecond units). *)
 module Trace_writer : sig
   val to_json : span list -> string
+  (** One JSON object, rendered by {!Json.to_string}.  When {!dropped_spans}
+      is non-zero a final zero-length [trace.dropped] event records the
+      loss (its [dropped] and [capacity] args) — a truncated trace says
+      so. *)
 
   val write : path:string -> span list -> (unit, Err.t) result
   (** Atomic write ({!Persist.write_atomic}); [Error (Io _)] on failure. *)
@@ -315,16 +328,3 @@ val pool_probe : stage:string -> Sutil.Pool.probe option
     task and its next), honoring the sample rate; [None] when tracing is
     off, so un-traced pools pay nothing.  Use one probe per [Pool.run]
     call. *)
-
-(** {1 JSON helpers} *)
-
-module Json : sig
-  val escape : string -> string
-  (** Escape a string's contents for inclusion inside JSON quotes. *)
-
-  val str : string -> string
-  (** Quote + escape. *)
-
-  val float : float -> string
-  (** Finite floats as shortest-roundtrip decimals; non-finite as [null]. *)
-end

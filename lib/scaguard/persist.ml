@@ -242,13 +242,6 @@ let run_parser ?file parse s =
 let model_of_string_result ?file s = run_parser ?file parse_model s
 let repository_of_string_result ?file s = run_parser ?file parse_repository s
 
-let ok_or_failwith = function
-  | Ok v -> v
-  | Error e -> failwith (Err.to_string e)
-
-let model_of_string s = ok_or_failwith (model_of_string_result s)
-let repository_of_string s = ok_or_failwith (repository_of_string_result s)
-
 (* -- binary format ------------------------------------------------------------ *)
 
 let bin_magic = "SCAGBIN"
@@ -680,21 +673,3 @@ let save_model_result ~path m =
 
 let save_model_bin_result ~path m =
   io_result ~path (fun () -> write_atomic ~path (model_to_bytes m))
-
-let raise_load_error = function
-  | Err.Io { msg; _ } -> raise (Sys_error msg)
-  | e -> failwith (Err.to_string e)
-
-let save_repository ~path repo = write_atomic ~path (repository_to_string repo)
-
-let load_repository ~path =
-  match load_repository_result ~path with
-  | Ok repo -> repo
-  | Error e -> raise_load_error e
-
-let save_model ~path m = write_atomic ~path (model_to_string m)
-
-let load_model ~path =
-  match load_model_result ~path with
-  | Ok m -> m
-  | Error e -> raise_load_error e

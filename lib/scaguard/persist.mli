@@ -20,12 +20,10 @@
     Every [load_*] entry point sniffs the leading bytes and accepts either
     format; the binary magic cannot collide with the text headers.
 
-    Every operation comes in two flavours: a [_result] variant returning
-    typed {!Err.t} errors — text parse failures carry the file name and
-    1-based line number, binary ones the file name and byte offset — and a
-    compatibility variant that raises [Failure] (parse) or [Sys_error] (IO)
-    like it always has.  No entry point leaks [Unix.Unix_error] or raw
-    [failwith]s from the writers.
+    Every decoding, loading and saving operation returns typed {!Err.t}
+    errors — text parse failures carry the file name and 1-based line
+    number, binary ones the file name and byte offset.  No entry point
+    raises: not [Failure], not [Sys_error], not [Unix.Unix_error].
 
     Loaded models carry empty [instrs] lists — similarity comparison only
     needs the normalized token sequences and the CSTs, both of which are
@@ -40,17 +38,11 @@ val model_of_string_result : ?file:string -> string -> (Model.t, Err.t) result
     error location.  Text format only (file loads sniff, string parsing is
     explicit — use {!model_of_bytes_result} for binary bytes). *)
 
-val model_of_string : string -> Model.t
-(** @raise Failure on malformed input. *)
-
 val repository_to_string : Detector.repository -> string
 (** Text encoding; total, like {!model_to_string}. *)
 
 val repository_of_string_result :
   ?file:string -> string -> (Detector.repository, Err.t) result
-
-val repository_of_string : string -> Detector.repository
-(** @raise Failure on malformed input. *)
 
 (** {1 Binary encoding} *)
 
@@ -107,10 +99,6 @@ val save_repository_bin_result :
 (** {!save_repository_result}, binary image format.  [index] as in
     {!repository_to_bytes}. *)
 
-val save_repository : path:string -> Detector.repository -> unit
-(** Like {!save_repository_result}.
-    @raise Sys_error on IO problems. *)
-
 val load_repository_result :
   path:string -> (Detector.repository, Err.t) result
 (** Sniffs the format: binary images and text files both load.
@@ -129,10 +117,6 @@ val load_repository_prepared_result :
     simply runs {!Detector.prepare} after parsing.  Either way the prepared
     repository classifies bit-identically to [Detector.prepare repo]. *)
 
-val load_repository : path:string -> Detector.repository
-(** @raise Sys_error / Failure on IO or parse problems (parse messages
-    include the file name and line number / byte offset). *)
-
 val save_model_result : path:string -> Model.t -> (unit, Err.t) result
 (** One model to one file, text format; atomic like
     {!save_repository_result}. *)
@@ -140,16 +124,10 @@ val save_model_result : path:string -> Model.t -> (unit, Err.t) result
 val save_model_bin_result : path:string -> Model.t -> (unit, Err.t) result
 (** {!save_model_result}, binary format. *)
 
-val save_model : path:string -> Model.t -> unit
-(** @raise Sys_error on IO problems. *)
-
 val load_model_result : path:string -> (Model.t, Err.t) result
 (** Sniffs the format like {!load_repository_result}.  The loaded model's
     tokens are re-interned in this process; interned ids are never part of
     either on-disk format. *)
-
-val load_model : path:string -> Model.t
-(** @raise Sys_error / Failure on IO or parse problems. *)
 
 (** {1 Lazy repository images}
 

@@ -38,21 +38,6 @@ type job = {
 let job ?settings ?init ?victim ?(salt = "") ~name program =
   { job_name = name; program; settings; init; victim; salt }
 
-(* Fan [f] over the tasks with one Cst.measurer per worker (the per-block
-   CST simulator is reused instead of reallocated), collecting results by
-   index.  Task order in the output is the input order regardless of which
-   worker ran what, and each task's computation is independent of every
-   other's, so results are byte-identical to a sequential loop. *)
-let batch ?domains n f =
-  let workers = Sutil.Pool.domains_for ?domains n in
-  let measurers = Array.init workers (fun _ -> Cst.measurer ()) in
-  let out = Array.make n None in
-  let probe = if Obs.tracing () then Obs.pool_probe ~stage:"build" else None in
-  ignore
-    (Sutil.Pool.run ?domains ?probe ~tasks:n (fun ~worker i ->
-         out.(i) <- Some (f ~measurer:(measurers.(worker)) i)));
-  Array.map (fun o -> Option.get o) out
-
 (* Observe one actual model construction (cache hits never reach this):
    bump the build counter and latency histogram, and emit a sampled
    build:model span tagged with the job name.  [build] is the untimed
@@ -74,42 +59,40 @@ let timed_build ~name i build =
   end
   else build ()
 
-let analyze_batch ?domains ?max_paths ?max_len ?cst_config inputs =
-  batch ?domains (Array.length inputs) (fun ~measurer i ->
-      let name, program, exec = inputs.(i) in
-      timed_build ~name i (fun () ->
-          analyze ?max_paths ?max_len ?cst_config ~measurer ~name ~program exec))
-
-let run_and_analyze_batch ?domains ?max_paths ?max_len ?cst_config jobs =
-  batch ?domains (Array.length jobs) (fun ~measurer i ->
-      let j = jobs.(i) in
+(* Fan the jobs over a pool with one Cst.measurer per worker (the per-block
+   CST simulator is reused instead of reallocated), collecting models by
+   index.  Output order is the input order regardless of which worker ran
+   what, and each job's computation is independent of every other's, so
+   results are byte-identical to a sequential loop. *)
+let build_models_batch ?domains ?cache ?max_paths ?max_len ?cst_config jobs =
+  let n = Array.length jobs in
+  let workers = Sutil.Pool.domains_for ?domains n in
+  let measurers = Array.init workers (fun _ -> Cst.measurer ()) in
+  let build_one ~measurer i =
+    let j = jobs.(i) in
+    let build () =
       timed_build ~name:j.job_name i (fun () ->
           let exec =
             Cpu.Exec.run ?settings:j.settings ?init:j.init ?victim:j.victim
               j.program
           in
-          analyze ?max_paths ?max_len ?cst_config ~measurer ~name:j.job_name
-            ~program:j.program exec))
-
-let build_models_batch ?domains ?cache ?max_paths ?max_len ?cst_config jobs =
-  batch ?domains (Array.length jobs) (fun ~measurer i ->
-      let j = jobs.(i) in
-      let build () =
-        timed_build ~name:j.job_name i (fun () ->
-            let exec =
-              Cpu.Exec.run ?settings:j.settings ?init:j.init ?victim:j.victim
-                j.program
-            in
-            (analyze ?max_paths ?max_len ?cst_config ~measurer
-               ~name:j.job_name ~program:j.program exec)
-              .model)
+          (analyze ?max_paths ?max_len ?cst_config ~measurer ~name:j.job_name
+             ~program:j.program exec)
+            .model)
+    in
+    match cache with
+    | None -> build ()
+    | Some c ->
+      let key =
+        Model_cache.key ?settings:j.settings ?cst_config ?max_paths ?max_len
+          ?victim:(Option.map fst j.victim) ~salt:j.salt ~name:j.job_name
+          j.program
       in
-      match cache with
-      | None -> build ()
-      | Some c ->
-        let key =
-          Model_cache.key ?settings:j.settings ?cst_config ?max_paths ?max_len
-            ?victim:(Option.map fst j.victim) ~salt:j.salt ~name:j.job_name
-            j.program
-        in
-        Model_cache.find_or_build c ~key build)
+      Model_cache.find_or_build c ~key build
+  in
+  let out = Array.make n None in
+  let probe = if Obs.tracing () then Obs.pool_probe ~stage:"build" else None in
+  ignore
+    (Sutil.Pool.run ?domains ?probe ~tasks:n (fun ~worker i ->
+         out.(i) <- Some (build_one ~measurer:measurers.(worker) i)));
+  Array.map Option.get out

@@ -89,10 +89,9 @@ val set_capture : bool -> unit
 (** Toggle capture (default off).  Front-ends flip this before a run, never
     concurrently with one. *)
 
-val set_capacity : int -> unit
-(** Sink bound (default 16384 records).  Once full, further records are
-    counted in {!dropped} and discarded — emission never blocks.
-    @raise Invalid_argument if [< 1]. *)
+val capacity : int
+(** Sink bound (16384 records).  Once full, further records are counted in
+    {!dropped} and discarded — emission never blocks. *)
 
 val records : unit -> t list
 (** Captured records since the last {!clear}, in emission order. *)

@@ -129,79 +129,89 @@ let pp_report ppf r =
 
 (* ---- JSON report ------------------------------------------------------------ *)
 
-let report_to_json r =
-  let buf = Buffer.create 1024 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let field_sep first = if !first then first := false else add "," in
-  add "{";
-  add "\"built\":%d,\"classified\":%d" r.built r.classified;
-  add ",\"timings\":[";
-  List.iteri
-    (fun i (t : timing) ->
-      if i > 0 then add ",";
-      add "{\"stage\":%s,\"wall_s\":%s,\"cpu_s\":%s}" (Obs.Json.str t.stage)
-        (Obs.Json.float t.wall_s) (Obs.Json.float t.cpu_s))
-    r.timings;
-  add "]";
-  (match r.cache with
-  | None -> ()
-  | Some c ->
-    add ",\"cache\":{\"dir\":%s,\"hits\":%d,\"misses\":%d,\"stale\":%d}"
-      (Obs.Json.str c.dir) c.hits c.misses c.stale);
-  (match r.engine with
-  | None -> ()
-  | Some (s : Engine.stats) ->
-    add
-      ",\"engine\":{\"domains\":%d,\"targets\":%d,\"pairs\":%d,\"cells\":%d,\
-       \"pairs_pruned_lb\":%d,\"pairs_abandoned\":%d,\"cells_saved\":%d,\
-       \"lb_evals\":%d,\"pairs_pruned_index\":%d,\"nodes_visited\":%d,\
-       \"wall_s\":%s,\"cpu_s\":%s,\"per_worker\":[%s]}"
-      s.Engine.domains s.Engine.targets s.Engine.pairs s.Engine.cells
-      s.Engine.pairs_pruned_lb s.Engine.pairs_abandoned s.Engine.cells_saved
-      s.Engine.lb_evals s.Engine.pairs_pruned_index s.Engine.nodes_visited
-      (Obs.Json.float s.Engine.wall_s)
-      (Obs.Json.float s.Engine.cpu_s)
-      (String.concat ","
-         (Array.to_list (Array.map string_of_int s.Engine.per_worker))));
-  (match r.metrics with
-  | None -> ()
-  | Some snap ->
-    add ",\"metrics\":[";
-    let first = ref true in
-    List.iter
-      (fun (e : Obs.Registry.snapshot_entry) ->
-        field_sep first;
-        add "{\"name\":%s" (Obs.Json.str e.Obs.Registry.entry_name);
-        (match e.Obs.Registry.entry_labels with
-        | [] -> ()
-        | labels ->
-          add ",\"labels\":{%s}"
-            (String.concat ","
-               (List.map
-                  (fun (k, v) -> Obs.Json.str k ^ ":" ^ Obs.Json.str v)
-                  labels)));
-        (match e.Obs.Registry.entry_value with
-        | Obs.Registry.Counter_value v -> add ",\"value\":%d" v
-        | Obs.Registry.Gauge_value v -> add ",\"value\":%s" (Obs.Json.float v)
-        | Obs.Registry.Histogram_value h ->
-          add ",\"count\":%d,\"sum\":%s,\"buckets\":[" h.Obs.Registry.count
-            (Obs.Json.float h.Obs.Registry.sum);
-          Array.iteri
-            (fun i c ->
-              if i > 0 then add ",";
-              let le =
-                if i < Array.length h.Obs.Registry.bounds then
-                  Obs.Json.float h.Obs.Registry.bounds.(i)
-                else "\"+Inf\""
-              in
-              add "{\"le\":%s,\"count\":%d}" le c)
-            h.Obs.Registry.counts;
-          add "]");
-        add "}")
-      (stable_snapshot snap);
-    add "]");
-  add "}";
-  Buffer.contents buf
+let int n = Json.Num (float_of_int n)
+
+let metric_json (e : Obs.Registry.snapshot_entry) =
+  let labels =
+    match e.Obs.Registry.entry_labels with
+    | [] -> []
+    | labels ->
+      [ ("labels", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) labels)) ]
+  in
+  let value =
+    match e.Obs.Registry.entry_value with
+    | Obs.Registry.Counter_value v -> [ ("value", int v) ]
+    | Obs.Registry.Gauge_value v -> [ ("value", Json.Num v) ]
+    | Obs.Registry.Histogram_value h ->
+      let bounds = h.Obs.Registry.bounds in
+      [
+        ("count", int h.Obs.Registry.count);
+        ("sum", Json.Num h.Obs.Registry.sum);
+        ( "buckets",
+          Json.List
+            (Array.to_list
+               (Array.mapi
+                  (fun i c ->
+                    let le =
+                      if i < Array.length bounds then Json.Num bounds.(i)
+                      else Json.Str "+Inf"
+                    in
+                    Json.Obj [ ("le", le); ("count", int c) ])
+                  h.Obs.Registry.counts)) );
+      ]
+  in
+  Json.Obj ((("name", Json.Str e.Obs.Registry.entry_name) :: labels) @ value)
+
+let report_json r =
+  let timing (t : timing) =
+    Json.Obj
+      [
+        ("stage", Json.Str t.stage);
+        ("wall_s", Json.Num t.wall_s);
+        ("cpu_s", Json.Num t.cpu_s);
+      ]
+  in
+  let cache (c : cache_stats) =
+    Json.Obj
+      [
+        ("dir", Json.Str c.dir);
+        ("hits", int c.hits);
+        ("misses", int c.misses);
+        ("stale", int c.stale);
+      ]
+  in
+  let engine (s : Engine.stats) =
+    Json.Obj
+      [
+        ("domains", int s.Engine.domains);
+        ("targets", int s.Engine.targets);
+        ("pairs", int s.Engine.pairs);
+        ("cells", int s.Engine.cells);
+        ("pairs_pruned_lb", int s.Engine.pairs_pruned_lb);
+        ("pairs_abandoned", int s.Engine.pairs_abandoned);
+        ("cells_saved", int s.Engine.cells_saved);
+        ("lb_evals", int s.Engine.lb_evals);
+        ("pairs_pruned_index", int s.Engine.pairs_pruned_index);
+        ("nodes_visited", int s.Engine.nodes_visited);
+        ("wall_s", Json.Num s.Engine.wall_s);
+        ("cpu_s", Json.Num s.Engine.cpu_s);
+        ("per_worker", Json.List (Array.to_list (Array.map int s.Engine.per_worker)));
+      ]
+  in
+  let opt key f = function None -> [] | Some v -> [ (key, f v) ] in
+  Json.Obj
+    ([
+       ("built", int r.built);
+       ("classified", int r.classified);
+       ("timings", Json.List (List.map timing r.timings));
+     ]
+    @ opt "cache" cache r.cache
+    @ opt "engine" engine r.engine
+    @ opt "metrics"
+        (fun snap -> Json.List (List.map metric_json (stable_snapshot snap)))
+        r.metrics)
+
+let report_to_json r = Json.to_string (report_json r)
 
 (* ---- stages ----------------------------------------------------------------- *)
 

@@ -38,10 +38,13 @@ val pp_report : Format.formatter -> report -> unit
     histogram (estimated from the buckets via
     {!Sutil.Stats.percentile_of_buckets}). *)
 
-val report_to_json : report -> string
+val report_json : report -> Json.t
 (** The same report as a single JSON object ([built], [classified],
     [timings], and [cache]/[engine]/[metrics] when present) for
     machine-readable output ([--report-format json]). *)
+
+val report_to_json : report -> string
+(** [Json.to_string (report_json r)]. *)
 
 val build :
   Config.t -> Pipeline.job array -> (Model.t array * report, Err.t) result

@@ -374,19 +374,60 @@ let test_ensemble_counters () =
 
 (* ---- showdown smoke ----------------------------------------------------------- *)
 
+let showdown =
+  lazy
+    (E.Showdown.evaluate ~rng:(Sutil.Rng.create 416) ~per_family:2 ~tau:2.0
+       ~detectors:[ "scaguard"; "ensemble" ] ())
+
 let test_showdown_shape () =
-  let t =
-    E.Showdown.evaluate ~rng:(Sutil.Rng.create 416) ~per_family:2 ~tau:2.0
-      ~detectors:[ "scaguard"; "ensemble" ] ()
-  in
+  let t = Lazy.force showdown in
   check_int "two rows" 2 (List.length t.E.Showdown.rows);
   let en =
     List.find (fun r -> r.E.Showdown.key = "ensemble") t.E.Showdown.rows
   in
   check_bool "ensemble carries stats" true (Option.is_some en.E.Showdown.ensemble);
   check_bool "table renders" true
-    (String.length (Sutil.Table.render (E.Showdown.to_table t)) > 0);
-  check_bool "json non-empty" true (String.length (E.Showdown.to_json t) > 0)
+    (String.length (Sutil.Table.render (E.Showdown.to_table t)) > 0)
+
+(* The showdown JSON (the [compare --json] output and BENCH_compare.json)
+   must parse strictly and carry every score at full precision: floats read
+   back bit for bit, classes by label name. *)
+let test_showdown_json () =
+  let module J = Scaguard.Json in
+  let t = Lazy.force showdown in
+  let rows =
+    match J.parse (J.to_string (E.Showdown.to_json t)) with
+    | Ok j -> (
+      match J.member "detectors" j with
+      | Some (J.List rows) -> rows
+      | _ -> Alcotest.fail "no detectors array")
+    | Error m -> Alcotest.failf "showdown json does not parse: %s" m
+  in
+  List.iter2
+    (fun (r : E.Showdown.row) j ->
+      let scores = Option.get (J.member "scores" j) in
+      let s = r.E.Showdown.scores in
+      List.iter
+        (fun (k, v) ->
+          check_bool ("full-precision " ^ k) true
+            (J.member k scores = Some (J.Num v)))
+        [
+          ("precision", s.Ml.Metrics.precision);
+          ("recall", s.Ml.Metrics.recall);
+          ("f1", s.Ml.Metrics.f1);
+          ("accuracy", s.Ml.Metrics.accuracy);
+        ];
+      let c = List.hd r.E.Showdown.per_class in
+      match J.member "per_class" j with
+      | Some (J.List (first :: _)) ->
+        check_bool "classes by label name" true
+          (J.member "class" first
+          = Some (J.Str (L.to_string (E.Common.label_of_int c.Ml.Metrics.cls))));
+        check_bool "support" true
+          (J.member "support" first
+          = Some (J.Num (float_of_int c.Ml.Metrics.support)))
+      | _ -> Alcotest.fail "no per_class array")
+    t.E.Showdown.rows rows
 
 let () =
   Alcotest.run "detect"
@@ -404,5 +445,9 @@ let () =
           QCheck_alcotest.to_alcotest ~long:true ensemble_tau0_prop;
           Alcotest.test_case "counters" `Quick test_ensemble_counters;
         ] );
-      ("showdown", [ Alcotest.test_case "shape" `Slow test_showdown_shape ]);
+      ( "showdown",
+        [
+          Alcotest.test_case "shape" `Slow test_showdown_shape;
+          Alcotest.test_case "json export" `Slow test_showdown_json;
+        ] );
     ]

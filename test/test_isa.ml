@@ -262,6 +262,40 @@ let test_binary_rejects_garbage () =
   check_bool "truncated" true
     (bad (String.sub good 0 (String.length good - 3)))
 
+(* Regression: an 18-byte file announcing 0xFFFFFFFF instructions (first
+   opcode Nop) made decode attempt a ~32 GiB Array.init and die with "Out of
+   memory".  Counts larger than the remaining bytes can hold are now a parse
+   failure, raised before any allocation sized by them. *)
+let crafted_scab1 =
+  String.concat ""
+    [
+      "SCAB1";
+      "\x00\x00\x00\x00" (* base 0 *);
+      "\x00\x00" (* empty name *);
+      "\x00\x00" (* 0 labels *);
+      "\xff\xff\xff\xff" (* n_instrs = 0xFFFFFFFF *);
+      "\x1b" (* opcode 27: Nop *);
+    ]
+
+let test_binary_rejects_inflated_counts () =
+  check_int "the crafted file is 18 bytes" 18 (String.length crafted_scab1);
+  let rejects what s =
+    match Isa.Binary.decode s with
+    | _ -> Alcotest.failf "%s: decoded" what
+    | exception Failure m ->
+      check_bool (what ^ " names the count") true
+        (String.length m > 0 && String.sub m 0 7 = "Binary:")
+  in
+  rejects "instruction count" crafted_scab1;
+  (* 0xFFFF labels need at least 6 bytes each *)
+  rejects "label count"
+    ("SCAB1" ^ "\x00\x00\x00\x00" ^ "\x00\x00" ^ "\xff\xff"
+   ^ String.make 64 '\x00');
+  (* exact counts still decode: one Nop, nothing after it *)
+  let one_nop = String.sub crafted_scab1 0 13 ^ "\x01\x00\x00\x00\x1b" in
+  check_int "a backed count decodes" 1
+    (Array.length (Isa.Program.code (Isa.Binary.decode one_nop)))
+
 let prop_binary_roundtrip =
   let gen_instr =
     QCheck.Gen.oneofl
@@ -324,6 +358,8 @@ let () =
           Alcotest.test_case "PoCs roundtrip" `Quick test_binary_roundtrip_pocs;
           Alcotest.test_case "negative values" `Quick test_binary_negative_values;
           Alcotest.test_case "rejects garbage" `Quick test_binary_rejects_garbage;
+          Alcotest.test_case "rejects inflated counts" `Quick
+            test_binary_rejects_inflated_counts;
           QCheck_alcotest.to_alcotest prop_binary_roundtrip;
         ] );
       ( "builder",

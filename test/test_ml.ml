@@ -97,33 +97,6 @@ let test_per_class_breakdown () =
     (avg (fun r -> r.Ml.Metrics.c_f1))
     s.Ml.Metrics.f1
 
-let contains haystack needle =
-  let n = String.length needle and h = String.length haystack in
-  n = 0
-  || (h >= n
-     && List.exists
-          (fun i -> String.sub haystack i n = needle)
-          (List.init (h - n + 1) Fun.id))
-
-let test_metrics_to_json () =
-  let s = Ml.Metrics.evaluate ~classes:[ 0; 1 ] [ (0, 0); (1, 1); (1, 0) ] in
-  let json = Ml.Metrics.to_json s in
-  List.iter
-    (fun k ->
-      check_bool ("json carries " ^ k) true (contains json ("\"" ^ k ^ "\":")))
-    [ "precision"; "recall"; "f1"; "accuracy" ];
-  (* accuracy 2/3 rendered at full precision, readable back exactly *)
-  check_bool "full-precision accuracy" true
-    (contains json (Printf.sprintf "\"accuracy\":%.17g" (2.0 /. 3.0)));
-  let rows = Ml.Metrics.per_class ~classes:[ 0; 1 ] [ (0, 0); (1, 1) ] in
-  let arr =
-    Ml.Metrics.class_scores_to_json ~name:(Printf.sprintf "c%d") rows
-  in
-  check_bool "per-class json names classes" true
-    (contains arr "\"class\":\"c1\"");
-  check_bool "per-class json carries support" true
-    (contains arr "\"support\":1")
-
 (* ---- synthetic data ----------------------------------------------------------- *)
 
 (* Two Gaussian-ish blobs separated along the first dimension. *)
@@ -203,35 +176,6 @@ let test_knn_errors () =
     (try ignore (Ml.Knn.fit ~k:0 [ ([| 0.0 |], 0) ]); false
      with Invalid_argument _ -> true)
 
-(* ---- Cv ----------------------------------------------------------------------- *)
-
-let test_cv_folds_partition () =
-  let rng = Sutil.Rng.create 14 in
-  let xs = List.init 20 Fun.id in
-  let folds = Ml.Cv.folds ~rng ~k:5 xs in
-  check_int "five folds" 5 (List.length folds);
-  let all_test = List.concat_map snd folds in
-  check_int "tests partition data" 20 (List.length all_test);
-  Alcotest.(check (list int)) "every element tested once"
-    (List.sort compare xs) (List.sort compare all_test);
-  List.iter
-    (fun (train, test) ->
-      check_int "train+test = all" 20 (List.length train + List.length test);
-      check_bool "disjoint" true
-        (List.for_all (fun t -> not (List.mem t train)) test))
-    folds
-
-let test_cross_validate_perfect_model () =
-  let rng = Sutil.Rng.create 15 in
-  let xs = List.init 30 (fun i -> (i, i mod 2)) in
-  let acc =
-    Ml.Cv.cross_validate ~rng ~k:5
-      ~train:(fun _ -> ())
-      ~test:(fun () (x, y) -> x mod 2 = y)
-      xs
-  in
-  check_float "perfect" 1.0 acc
-
 let prop_knn_self_consistent =
   (* k=1 on the training set returns each point's own label. *)
   QCheck.Test.make ~name:"1-NN memorizes training set" ~count:50
@@ -269,7 +213,6 @@ let () =
           Alcotest.test_case "confusion matrix" `Quick test_confusion_matrix;
           Alcotest.test_case "per-class breakdown" `Quick
             test_per_class_breakdown;
-          Alcotest.test_case "json export" `Quick test_metrics_to_json;
         ] );
       ( "svm",
         [
@@ -283,10 +226,5 @@ let () =
           Alcotest.test_case "tie break" `Quick test_knn_tie_break_nearest;
           Alcotest.test_case "errors" `Quick test_knn_errors;
           QCheck_alcotest.to_alcotest prop_knn_self_consistent;
-        ] );
-      ( "cv",
-        [
-          Alcotest.test_case "folds partition" `Quick test_cv_folds_partition;
-          Alcotest.test_case "cross validate" `Quick test_cross_validate_perfect_model;
         ] );
     ]

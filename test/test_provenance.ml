@@ -24,8 +24,6 @@ let with_capture ?(prov = true) ?(log = false) f =
     ~finally:(fun () ->
       P.set_capture false;
       Log.set_capture false;
-      P.set_capacity 16384;
-      Log.set_capacity 8192;
       Log.set_level Log.Debug;
       Log.set_mirror_level mirror;
       SG.Obs.set_trace_id None;
@@ -108,11 +106,10 @@ let test_ensemble_note_is_consumed () =
 
 let test_sink_bound () =
   with_capture (fun () ->
-      P.set_capacity 4;
-      for i = 1 to 6 do
+      for i = 1 to P.capacity + 2 do
         P.emit_fast_reject ~target:(Printf.sprintf "t%d" i) ~threshold:60.0
       done;
-      check_int "sink is bounded" 4 (List.length (P.records ()));
+      check_int "sink is bounded" P.capacity (List.length (P.records ()));
       check_int "overflow is counted" 2 (P.dropped ());
       P.clear ();
       check_int "clear empties the sink" 0 (List.length (P.records ()));
@@ -409,19 +406,19 @@ let test_log_trace_stamping () =
 
 let test_log_jsonl_bounded () =
   with_capture ~prov:false ~log:true (fun () ->
-      Log.set_capacity 2;
-      for i = 1 to 4 do
+      for i = 1 to Log.capacity + 2 do
         Log.info "t.flood" "event %d" i
       done;
       let evs = Log.events () in
-      check_int "buffer is bounded" 2 (List.length evs);
+      check_int "buffer is bounded" Log.capacity (List.length evs);
       check_int "overflow counted" 2 (Log.dropped ());
       let lines =
         List.filter
           (fun l -> l <> "")
           (String.split_on_char '\n' (Log.to_jsonl evs))
       in
-      check_int "2 events + the dropped marker" 3 (List.length lines);
+      check_int "every event + the dropped marker" (Log.capacity + 1)
+        (List.length lines);
       List.iter
         (fun l ->
           match SG.Json.parse l with
@@ -429,7 +426,7 @@ let test_log_jsonl_bounded () =
           | Ok _ -> Alcotest.failf "line is not an object: %s" l
           | Error m -> Alcotest.failf "line does not parse (%s): %s" m l)
         lines;
-      match SG.Json.parse (List.nth lines 2) with
+      match SG.Json.parse (List.nth lines Log.capacity) with
       | Ok marker ->
         check_bool "marker names the loss" true
           (SG.Json.member "event" marker = Some (SG.Json.Str "log.dropped"))

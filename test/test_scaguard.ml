@@ -585,11 +585,15 @@ let entry_equal (a : SG.Model.entry) (b : SG.Model.entry) =
   && a.SG.Model.normalized = b.SG.Model.normalized
   && a.SG.Model.cst = b.SG.Model.cst
 
+let ok_exn = function
+  | Ok v -> v
+  | Error e -> Alcotest.fail (SG.Err.to_string e)
+
 let prop_persist_roundtrip =
   QCheck.Test.make ~name:"persist round-trips arbitrary models" ~count:200
     model_arb
     (fun m ->
-      let m' = SG.Persist.model_of_string (SG.Persist.model_to_string m) in
+      let m' = ok_exn (SG.Persist.model_of_string_result (SG.Persist.model_to_string m)) in
       m.SG.Model.name = m'.SG.Model.name
       && List.length m.SG.Model.entries = List.length m'.SG.Model.entries
       && List.for_all2 entry_equal m.SG.Model.entries m'.SG.Model.entries)
@@ -604,8 +608,9 @@ let prop_persist_repository_roundtrip =
         List.map (fun (family, model) -> { SG.Detector.family; model }) pocs
       in
       let loaded =
-        SG.Persist.repository_of_string
-          (SG.Persist.repository_to_string repository)
+        ok_exn
+          (SG.Persist.repository_of_string_result
+             (SG.Persist.repository_to_string repository))
       in
       List.length repository = List.length loaded
       && List.for_all2
@@ -972,10 +977,9 @@ let test_persist_rejects_malformed_cst () =
     Printf.sprintf "cstbbs 1\nname x\nentry 0 0\n%s\ntokens 0\nend\n" cst_line
   in
   let rejects s =
-    try
-      ignore (SG.Persist.model_of_string (model_with s));
-      false
-    with Failure _ -> true
+    match SG.Persist.model_of_string_result (model_with s) with
+    | Error (SG.Err.Parse _) -> true
+    | Ok _ | Error _ -> false
   in
   check_bool "junk token among four floats" true (rejects "cst 1 2 junk 3 4");
   check_bool "too few floats" true (rejects "cst 1 2 3");
@@ -995,9 +999,9 @@ let test_persist_save_atomic () =
     (fun () ->
       (* overwriting an existing repository goes through rename, and no temp
          files are left behind *)
-      SG.Persist.save_repository ~path repository;
-      SG.Persist.save_repository ~path repository;
-      let loaded = SG.Persist.load_repository ~path in
+      ok_exn (SG.Persist.save_repository_result ~path repository);
+      ok_exn (SG.Persist.save_repository_result ~path repository);
+      let loaded = ok_exn (SG.Persist.load_repository_result ~path) in
       check_int "poc count" (List.length repository) (List.length loaded);
       let leftovers =
         Array.to_list (Sys.readdir dir)
@@ -1009,7 +1013,7 @@ let test_persist_save_atomic () =
 
 let test_persist_model_roundtrip () =
   let m = (Lazy.force fr_analysis).SG.Pipeline.model in
-  let m' = SG.Persist.model_of_string (SG.Persist.model_to_string m) in
+  let m' = ok_exn (SG.Persist.model_of_string_result (SG.Persist.model_to_string m)) in
   Alcotest.(check string) "name" m.SG.Model.name m'.SG.Model.name;
   check_int "entries" (SG.Model.length m) (SG.Model.length m');
   check_float "similarity 1 after roundtrip" 1.0 (SG.Dtw.compare_models m m');
@@ -1026,8 +1030,8 @@ let test_persist_repository_roundtrip () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      SG.Persist.save_repository ~path repo;
-      let loaded = SG.Persist.load_repository ~path in
+      ok_exn (SG.Persist.save_repository_result ~path repo);
+      let loaded = ok_exn (SG.Persist.load_repository_result ~path) in
       check_int "poc count" (List.length repo) (List.length loaded);
       (* classification through the loaded repository is identical *)
       let target = model_of_spec (A.evict_reload ()) in
@@ -1038,15 +1042,14 @@ let test_persist_repository_roundtrip () =
       check_float "same score" v1.SG.Detector.best_score v2.SG.Detector.best_score)
 
 let test_persist_rejects_garbage () =
+  let is_parse_error = function Error (SG.Err.Parse _) -> true | _ -> false in
   check_bool "bad magic" true
-    (try ignore (SG.Persist.model_of_string "nonsense"); false
-     with Failure _ -> true);
+    (is_parse_error (SG.Persist.model_of_string_result "nonsense"));
   check_bool "bad repo magic" true
-    (try ignore (SG.Persist.repository_of_string "cstbbs 1"); false
-     with Failure _ -> true);
+    (is_parse_error (SG.Persist.repository_of_string_result "cstbbs 1"));
   check_bool "truncated" true
-    (try ignore (SG.Persist.model_of_string "cstbbs 1\nname x\nentry 0 0"); false
-     with Failure _ -> true)
+    (is_parse_error
+       (SG.Persist.model_of_string_result "cstbbs 1\nname x\nentry 0 0"))
 
 (* ---- Binary format (SCAGBIN) --------------------------------------------------------- *)
 
@@ -1108,7 +1111,7 @@ let test_persist_newline_tokens () =
       ~first_time:7
   in
   let m = SG.Model.make ~name:"evil\nname" [ entry ] in
-  let m' = SG.Persist.model_of_string (SG.Persist.model_to_string m) in
+  let m' = ok_exn (SG.Persist.model_of_string_result (SG.Persist.model_to_string m)) in
   Alcotest.(check string) "name survives" m.SG.Model.name m'.SG.Model.name;
   List.iter2
     (fun a b ->
@@ -1117,8 +1120,9 @@ let test_persist_newline_tokens () =
     m.SG.Model.entries m'.SG.Model.entries;
   let repository = [ { SG.Detector.family = "fam\nnl"; model = m } ] in
   let text_rt =
-    SG.Persist.repository_of_string
-      (SG.Persist.repository_to_string repository)
+    ok_exn
+      (SG.Persist.repository_of_string_result
+         (SG.Persist.repository_to_string repository))
   in
   Alcotest.(check string) "family survives" "fam\nnl"
     (List.hd text_rt).SG.Detector.family;
@@ -1142,7 +1146,7 @@ let test_persist_newline_tokens () =
           (match save ~path repository with
           | Ok () -> ()
           | Error e -> Alcotest.fail (SG.Err.to_string e));
-          let loaded = SG.Persist.load_repository ~path in
+          let loaded = ok_exn (SG.Persist.load_repository_result ~path) in
           Alcotest.(check string) "file roundtrip"
             (SG.Persist.repository_to_string repository)
             (SG.Persist.repository_to_string loaded)))
@@ -1262,7 +1266,7 @@ let test_persist_image_lazy () =
   Fun.protect
     ~finally:(fun () -> Sys.remove text_path)
     (fun () ->
-      SG.Persist.save_repository ~path:text_path repository;
+      ok_exn (SG.Persist.save_repository_result ~path:text_path repository);
       match SG.Persist.open_image_result ~path:text_path with
       | Error (SG.Err.Parse _) -> ()
       | Error e -> Alcotest.fail ("unexpected error kind: " ^ SG.Err.to_string e)
@@ -1312,39 +1316,22 @@ let test_entries_array_memoized () =
   check_bool "one array, shared" true
     (SG.Model.entries_array m == SG.Model.entries_array m)
 
-let test_analyze_batch_matches_sequential () =
+let test_build_models_batch_matches_sequential () =
   let samples = batch_samples () in
-  (* over pre-collected executions (analysis on one exec is deterministic) *)
-  let inputs =
-    Array.of_list
-      (List.map (fun (s : D.sample) -> (s.D.name, s.D.program, D.run s)) samples)
-  in
-  let batch = SG.Pipeline.analyze_batch ~domains:4 inputs in
-  Array.iteri
-    (fun i (a : SG.Pipeline.analysis) ->
-      let name, program, exec = inputs.(i) in
-      let seq = SG.Pipeline.analyze ~name ~program exec in
-      Alcotest.(check string) "analyze_batch model"
-        (model_bytes seq.SG.Pipeline.model)
-        (model_bytes a.SG.Pipeline.model))
-    batch;
-  (* executing inside the batch too *)
   let jobs = Array.of_list (List.map job_of_sample samples) in
-  let batch2 = SG.Pipeline.run_and_analyze_batch ~domains:4 jobs in
-  List.iteri
-    (fun i (s : D.sample) ->
-      let seq = analyze_sample s in
-      Alcotest.(check string) "run_and_analyze_batch model"
-        (model_bytes seq.SG.Pipeline.model)
-        (model_bytes batch2.(i).SG.Pipeline.model))
-    samples;
-  let models = SG.Pipeline.build_models_batch ~domains:2 jobs in
-  Array.iteri
-    (fun i m ->
-      Alcotest.(check string) "build_models_batch model"
-        (model_bytes batch2.(i).SG.Pipeline.model)
-        (model_bytes m))
-    models
+  let sequential =
+    List.map (fun s -> model_bytes (analyze_sample s).SG.Pipeline.model) samples
+  in
+  List.iter
+    (fun domains ->
+      let models = SG.Pipeline.build_models_batch ~domains jobs in
+      List.iteri
+        (fun i seq ->
+          Alcotest.(check string)
+            (Printf.sprintf "build_models_batch model (%d domains)" domains)
+            seq (model_bytes models.(i)))
+        sequential)
+    [ 4; 2 ]
 
 let with_temp_cache f =
   let dir = Filename.temp_file "scaguard" ".cache" in
@@ -1654,7 +1641,7 @@ let () =
           Alcotest.test_case "entries array memoized" `Quick
             test_entries_array_memoized;
           Alcotest.test_case "batch matches sequential" `Quick
-            test_analyze_batch_matches_sequential;
+            test_build_models_batch_matches_sequential;
           Alcotest.test_case "cache hit bit-identical" `Quick
             test_model_cache_hit_bit_identical;
           Alcotest.test_case "stale entry falls back" `Quick

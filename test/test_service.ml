@@ -474,6 +474,93 @@ let test_persist_parse_locations () =
         Alcotest.failf "expected Io, got %s"
           (match r with Ok _ -> "Ok" | Error e -> SG.Err.to_string e))
 
+(* -- the --report-format json bytes ------------------------------------------ *)
+
+(* A fixed report pinned byte for byte: integral floats print as integers,
+   the rest as %.17g; histogram buckets end in the "+Inf" string; strings
+   are JSON-escaped.  Front-ends and CI parse this output, so its bytes are
+   a contract. *)
+let golden_report =
+  let module R = SG.Obs.Registry in
+  {
+    SG.Service.built = 3;
+    classified = 2;
+    cache = Some { SG.Service.dir = "/tmp/c\"ache\n"; hits = 1; misses = 2; stale = 0 };
+    engine =
+      Some
+        {
+          SG.Engine.domains = 2;
+          targets = 2;
+          pairs = 8;
+          cells = 1234;
+          pairs_pruned_lb = 1;
+          pairs_abandoned = 2;
+          cells_saved = 56;
+          lb_evals = 8;
+          nodes_visited = 0;
+          pairs_pruned_index = 0;
+          wall_s = 0.1;
+          cpu_s = 2.0;
+          per_worker = [| 1; 1 |];
+        };
+    timings =
+      [
+        { SG.Service.stage = "build"; wall_s = 1.0 /. 3.0; cpu_s = 0.25 };
+        { SG.Service.stage = "detect"; wall_s = 1e-7; cpu_s = 12.0 };
+      ];
+    metrics =
+      Some
+        [
+          {
+            R.entry_name = "scaguard_engine_pairs_total";
+            entry_labels = [];
+            entry_help = "pairs";
+            entry_value = R.Counter_value 8;
+          };
+          {
+            R.entry_name = "scaguard_build_info";
+            entry_labels = [ ("version", "0.1\t\"x\""); ("format_version", "2") ];
+            entry_help = "";
+            entry_value = R.Gauge_value 1.0;
+          };
+          {
+            R.entry_name = "scaguard_stage_seconds";
+            entry_labels = [ ("stage", "detect") ];
+            entry_help = "";
+            entry_value =
+              R.Histogram_value
+                {
+                  R.bounds = [| 1e-6; 0.5; 2.0 |];
+                  counts = [| 1; 0; 2; 1 |];
+                  sum = 3.7;
+                  count = 4;
+                };
+          };
+        ];
+  }
+
+let test_report_json_golden () =
+  let expected =
+    String.concat ""
+      [
+       {|{"built":3,"classified":2,"timings":[{"stage":"build","wall_s":0|};
+       {|.33333333333333331,"cpu_s":0.25},{"stage":"detect","wall_s":9.99|};
+       {|99999999999995e-08,"cpu_s":12}],"cache":{"dir":"/tmp/c\"ache\n",|};
+       {|"hits":1,"misses":2,"stale":0},"engine":{"domains":2,"targets":2|};
+       {|,"pairs":8,"cells":1234,"pairs_pruned_lb":1,"pairs_abandoned":2,|};
+       {|"cells_saved":56,"lb_evals":8,"pairs_pruned_index":0,"nodes_visi|};
+       {|ted":0,"wall_s":0.10000000000000001,"cpu_s":2,"per_worker":[1,1]|};
+       {|},"metrics":[{"name":"scaguard_build_info","labels":{"version":"|};
+       {|0.1\t\"x\"","format_version":"2"},"value":1},{"name":"scaguard_e|};
+       {|ngine_pairs_total","value":8},{"name":"scaguard_stage_seconds","|};
+       {|labels":{"stage":"detect"},"count":4,"sum":3.7000000000000002,"b|};
+       {|uckets":[{"le":9.9999999999999995e-07,"count":1},{"le":0.5,"coun|};
+       {|t":0},{"le":2,"count":2},{"le":"+Inf","count":1}]}]}|};
+      ]
+  in
+  check_string "report json bytes" expected
+    (SG.Service.report_to_json golden_report)
+
 let () =
   Alcotest.run "service"
     [
@@ -507,4 +594,6 @@ let () =
           Alcotest.test_case "persist parse locations" `Quick
             test_persist_parse_locations;
         ] );
+      ( "report",
+        [ Alcotest.test_case "json golden bytes" `Quick test_report_json_golden ] );
     ]

@@ -359,6 +359,68 @@ let test_deadline () =
   Alcotest.(check bool) "saturating add" false
     (Sutil.Deadline.expired ~now_ns:1L far)
 
+(* -- sink --------------------------------------------------------------------- *)
+
+let int_sink capacity = Sutil.Sink.create ~capacity ~order:Int.compare
+
+let test_sink_bound () =
+  let s = int_sink 3 in
+  List.iter (Sutil.Sink.push s) [ 5; 1; 4; 2; 3 ];
+  Alcotest.(check (list int)) "first [capacity] pushes kept, in order"
+    [ 1; 4; 5 ] (Sutil.Sink.contents s);
+  Alcotest.(check int) "overflow counted" 2 (Sutil.Sink.dropped s);
+  Alcotest.(check (list int)) "contents does not consume" [ 1; 4; 5 ]
+    (Sutil.Sink.contents s);
+  Sutil.Sink.clear s;
+  Alcotest.(check (list int)) "clear empties" [] (Sutil.Sink.contents s);
+  Alcotest.(check int) "clear resets the drop count" 0 (Sutil.Sink.dropped s);
+  List.iter (Sutil.Sink.push s) [ 7; 8; 9 ];
+  Alcotest.(check int) "full capacity again after clear" 3
+    (List.length (Sutil.Sink.contents s));
+  Alcotest.check_raises "capacity must be positive"
+    (Invalid_argument "Sink.create: capacity 0 < 1") (fun () ->
+      ignore (int_sink 0))
+
+let test_sink_isolate () =
+  let s = int_sink 4 in
+  List.iter (Sutil.Sink.push s) [ 1; 2 ];
+  let v, mine =
+    Sutil.Sink.isolate s (fun () ->
+        Alcotest.(check (list int)) "starts empty" [] (Sutil.Sink.contents s);
+        List.iter (Sutil.Sink.push s) [ 30; 10; 20; 40; 50 ];
+        "done")
+  in
+  Alcotest.(check string) "result threaded through" "done" v;
+  Alcotest.(check (list int)) "exactly the inner items, bounded" [ 10; 20; 30; 40 ]
+    mine;
+  Alcotest.(check (list int)) "outer items restored" [ 1; 2 ] (Sutil.Sink.contents s);
+  Alcotest.(check int) "inner overflow still counted" 1 (Sutil.Sink.dropped s);
+  Sutil.Sink.push s 3;
+  Sutil.Sink.push s 4;
+  Sutil.Sink.push s 5;
+  Alcotest.(check (list int)) "outer bound restored" [ 1; 2; 3; 4 ]
+    (Sutil.Sink.contents s);
+  (match Sutil.Sink.isolate s (fun () -> Sutil.Sink.push s 99; failwith "boom") with
+  | _ -> Alcotest.fail "isolate swallowed the exception"
+  | exception Failure m -> Alcotest.(check string) "exception re-raised" "boom" m);
+  Alcotest.(check (list int)) "restored on raise, inner items discarded"
+    [ 1; 2; 3; 4 ] (Sutil.Sink.contents s)
+
+let test_sink_concurrent () =
+  let per_domain = 5000 and domains = 4 in
+  let s = int_sink (per_domain * domains) in
+  let workers =
+    List.init domains (fun d ->
+        Domain.spawn (fun () ->
+            for i = 0 to per_domain - 1 do
+              Sutil.Sink.push s ((d * per_domain) + i)
+            done))
+  in
+  List.iter Domain.join workers;
+  Alcotest.(check int) "nothing dropped below the cap" 0 (Sutil.Sink.dropped s);
+  Alcotest.(check bool) "every push kept exactly once" true
+    (Sutil.Sink.contents s = List.init (per_domain * domains) Fun.id)
+
 let () =
   Alcotest.run "sutil"
     [
@@ -416,4 +478,11 @@ let () =
         ] );
       ( "deadline",
         [ Alcotest.test_case "budget arithmetic" `Quick test_deadline ] );
+      ( "sink",
+        [
+          Alcotest.test_case "bound, dropped, clear" `Quick test_sink_bound;
+          Alcotest.test_case "isolate swap/restore" `Quick test_sink_isolate;
+          Alcotest.test_case "4-domain pushes lose nothing" `Quick
+            test_sink_concurrent;
+        ] );
     ]
