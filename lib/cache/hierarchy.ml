@@ -21,7 +21,7 @@ type t = {
          and back-invalidations into their private L1s *)
 }
 
-type outcome = { l1_hit : bool; llc_hit : bool; latency : int }
+type level = L1 | Llc | Memory
 
 let create ?(l1d = Config.l1d) ?(l1i = Config.l1i) ?(llc = Config.llc)
     ?(latencies = default_latencies) ?policy ?(inclusive = true)
@@ -36,87 +36,69 @@ let create ?(l1d = Config.l1d) ?(l1i = Config.l1i) ?(llc = Config.llc)
     peers = [];
   }
 
+let latency t = function
+  | L1 -> t.lat.l1_hit
+  | Llc -> t.lat.llc_hit
+  | Memory -> t.lat.memory
+
+let flush_l1s t addr =
+  ignore (Set_assoc.flush t.l1d addr);
+  ignore (Set_assoc.flush t.l1i addr)
+
+let rec flush_peers addr = function
+  | [] -> ()
+  | peer :: rest ->
+    flush_l1s peer addr;
+    flush_peers addr rest
+
 (* Invalidate a line from every private L1 that might hold it (this core's
    and every peer core's). *)
 let invalidate_private t addr =
-  ignore (Set_assoc.flush t.l1d addr);
-  ignore (Set_assoc.flush t.l1i addr);
-  List.iter
-    (fun peer ->
-      ignore (Set_assoc.flush peer.l1d addr);
-      ignore (Set_assoc.flush peer.l1i addr))
-    t.peers
+  flush_l1s t addr;
+  flush_peers addr t.peers
 
 let through t l1 ~owner addr =
-  let r1 = Set_assoc.access l1 ~owner addr in
-  if r1.Set_assoc.hit then
-    { l1_hit = true; llc_hit = false; latency = t.lat.l1_hit }
+  if Set_assoc.access l1 ~owner addr then L1
   else begin
-    let r2 = Set_assoc.access t.llc ~owner addr in
+    let hit = Set_assoc.access t.llc ~owner addr in
     (* Inclusive LLC: evicting a line from the LLC back-invalidates it in the
        L1s — the property Evict+Reload depends on (and loses without). *)
     (if t.inclusive then
-       match r2.Set_assoc.evicted with
-       | Some (eaddr, _) -> invalidate_private t eaddr
-       | None -> ());
-    if r2.Set_assoc.hit then
-      { l1_hit = false; llc_hit = true; latency = t.lat.llc_hit }
-    else { l1_hit = false; llc_hit = false; latency = t.lat.memory }
-  end
-
-(* A simple next-line prefetcher: a demand load miss also pulls the
-   following line in, asynchronously (no latency charged, no events). *)
-let run_prefetcher t ~owner addr outcome =
-  if t.prefetch && not outcome.l1_hit then begin
-    let next = addr + Config.line_size (Set_assoc.config t.l1d) in
-    let r1 = Set_assoc.access t.l1d ~owner next in
-    if not r1.Set_assoc.hit then begin
-      let r2 = Set_assoc.access t.llc ~owner next in
-      if t.inclusive then
-        match r2.Set_assoc.evicted with
-        | Some (eaddr, _) -> invalidate_private t eaddr
-        | None -> ()
-    end
+       let evicted = Set_assoc.evicted t.llc in
+       if evicted >= 0 then invalidate_private t evicted);
+    if hit then Llc else Memory
   end
 
 let load t ~owner addr =
-  let outcome = through t t.l1d ~owner addr in
-  run_prefetcher t ~owner addr outcome;
-  outcome
+  match through t t.l1d ~owner addr with
+  | L1 -> L1
+  | (Llc | Memory) as level ->
+    (* A simple next-line prefetcher: a demand load miss also pulls the
+       following line in, asynchronously (no latency charged, no events). *)
+    if t.prefetch then
+      ignore
+        (through t t.l1d ~owner
+           (addr + Config.line_size (Set_assoc.config t.l1d)));
+    level
+
 let store t ~owner addr = through t t.l1d ~owner addr
 let ifetch t ~owner addr = through t t.l1i ~owner addr
-let prefetch t ~owner addr = through t t.l1d ~owner addr
 
 let flush t addr =
   (* clflush is coherence-wide: peer cores' private copies go too. *)
   let p1 = Set_assoc.flush t.l1d addr in
   let p2 = Set_assoc.flush t.l1i addr in
   let p3 = Set_assoc.flush t.llc addr in
-  List.iter
-    (fun peer ->
-      ignore (Set_assoc.flush peer.l1d addr);
-      ignore (Set_assoc.flush peer.l1i addr))
-    t.peers;
+  flush_peers addr t.peers;
   if p1 || p2 || p3 then t.lat.flush_present else t.lat.flush_absent
 
-let llc_state t = Set_assoc.state t.llc
-let l1d_state t = Set_assoc.state t.l1d
-
-let llc_set_of_addr t addr = Config.set_of_addr (Set_assoc.config t.llc) addr
-
-let llc_cache t = t.llc
-let l1d_cache t = t.l1d
-let l1i_cache t = t.l1i
+let states t =
+  (Set_assoc.state t.l1d, Set_assoc.state t.l1i, Set_assoc.state t.llc)
 
 let reset t =
   Set_assoc.reset t.l1d;
   Set_assoc.reset t.l1i;
   Set_assoc.reset t.llc
-
-let fill_with t ~owner =
-  Set_assoc.fill_all t.l1d ~owner;
-  Set_assoc.fill_all t.l1i ~owner;
-  Set_assoc.fill_all t.llc ~owner
 
 (* Two cores with private L1s sharing one LLC — the classic cross-core
    LLC-attack topology.  Both views use the same latencies and knobs. *)

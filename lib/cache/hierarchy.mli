@@ -3,7 +3,9 @@
 
     The latencies follow the usual Skylake-class ballpark (L1 ~4 cycles, LLC
     ~42, DRAM ~200); [clflush] is slower when the line is actually cached,
-    which is the timing channel Flush+Flush exploits. *)
+    which is the timing channel Flush+Flush exploits.  Accesses allocate
+    nothing: they return the level that served them, whose latency
+    {!latency} gives. *)
 
 type latencies = {
   l1_hit : int;
@@ -17,11 +19,11 @@ val default_latencies : latencies
 
 type t
 
-type outcome = {
-  l1_hit : bool;
-  llc_hit : bool;       (** meaningful only when [l1_hit] is false *)
-  latency : int;        (** cycles *)
-}
+(** The level that served an access. *)
+type level =
+  | L1      (** hit in the private L1 *)
+  | Llc     (** L1 miss, LLC hit *)
+  | Memory  (** missed both levels *)
 
 val create : ?l1d:Config.t -> ?l1i:Config.t -> ?llc:Config.t ->
   ?latencies:latencies -> ?policy:Policy.t -> ?inclusive:bool ->
@@ -39,36 +41,26 @@ val create_cross_core :
     peer's private L1s, as cache coherence does.  {!create} by contrast
     models SMT co-residency: one core, every level shared. *)
 
-val load : t -> owner:Owner.t -> int -> outcome
+val load : t -> owner:Owner.t -> int -> level
 (** Data load at a byte address; fills L1D and LLC on miss. *)
 
-val store : t -> owner:Owner.t -> int -> outcome
+val store : t -> owner:Owner.t -> int -> level
 (** Data store (write-allocate). *)
 
-val ifetch : t -> owner:Owner.t -> int -> outcome
+val ifetch : t -> owner:Owner.t -> int -> level
 (** Instruction fetch through L1I + LLC. *)
+
+val latency : t -> level -> int
+(** Cycles an access served at the given level costs. *)
 
 val flush : t -> int -> int
 (** [flush t addr] invalidates the address's line in every level; returns the
     operation's latency (present vs absent timing). *)
 
-val prefetch : t -> owner:Owner.t -> int -> outcome
-(** Same cache effects as a load. *)
-
-val llc_state : t -> State.t
-(** The paper's [(AO, IO)] state, measured on the shared LLC. *)
-
-val l1d_state : t -> State.t
-
-val llc_set_of_addr : t -> int -> int
-(** LLC set index of an address — the granularity at which the attack-relevant
-    BB identification computes overlaps (§III-A1). *)
-
-val llc_cache : t -> Set_assoc.t
-val l1d_cache : t -> Set_assoc.t
-val l1i_cache : t -> Set_assoc.t
+val states : t -> State.t * State.t * State.t
+(** The paper's [(AO, IO)] state of each level: L1D, L1I and LLC. *)
 
 val reset : t -> unit
-
-val fill_with : t -> owner:Owner.t -> unit
-(** Fill all levels entirely with lines of the given owner. *)
+(** Restore exactly the state {!create} builds, so one hierarchy can serve
+    run after run.  On a cross-core view this resets its own L1s and the
+    shared LLC, not the peer's L1s. *)

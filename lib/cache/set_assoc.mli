@@ -1,15 +1,11 @@
-(** One set-associative cache level with LRU replacement, flush support and
-    per-owner occupancy accounting. *)
+(** One set-associative cache level with a choice of replacement policy
+    (LRU, FIFO or seeded random; see {!Policy.t}), flush support and
+    per-owner occupancy accounting.
+
+    Lines are stored as flat arrays indexed [set * ways + way] (tag, owner
+    and LRU/fill stamp), so a lookup allocates nothing. *)
 
 type t
-
-type access_result = {
-  hit : bool;
-  evicted : (int * Owner.t) option;
-    (** line address and owner of the victim line, when a fill evicted one *)
-}
-(** One lookup's outcome.  Victim selection on a full set follows the
-    cache's {!Policy.t}. *)
 
 val create : ?policy:Policy.t -> Config.t -> t
 (** [policy] defaults to {!Policy.Lru}. *)
@@ -17,12 +13,18 @@ val create : ?policy:Policy.t -> Config.t -> t
 val config : t -> Config.t
 val policy : t -> Policy.t
 
-val access : t -> owner:Owner.t -> int -> access_result
-(** [access t ~owner addr] looks up the line of [addr]; on a miss the line is
-    filled (evicting the LRU way if the set is full) and ownership is
-    recorded; on a hit the line is promoted to MRU and ownership is
+val access : t -> owner:Owner.t -> int -> bool
+(** [access t ~owner addr] looks up the line of [addr] and returns whether
+    it hit.  On a miss the line is filled (victim selection on a full set
+    follows the cache's {!Policy.t}) and ownership is recorded; on a hit the
+    line is promoted to MRU (except under FIFO) and ownership is
     {e re-assigned} to [owner] (matching shared-memory attacks where the
-    attacker re-loads a victim-fetched line). *)
+    attacker re-loads a victim-fetched line).  {!evicted} reports the line
+    a miss displaced. *)
+
+val evicted : t -> int
+(** Base address of the valid line the last {!access} evicted, or [-1]
+    when it evicted none (a hit, or a fill into an invalid way). *)
 
 val probe : t -> int -> bool
 (** [probe t addr] reports presence without touching LRU state. *)
@@ -36,7 +38,8 @@ val fill_all : t -> owner:Owner.t -> unit
     CST measurement from [(AO=0, IO=1)]). *)
 
 val reset : t -> unit
-(** Invalidate everything. *)
+(** Restore exactly the state {!create} builds: every line invalid, the
+    stamp clock and the [Random] policy's generator back at their start. *)
 
 val occupancy : t -> Owner.t -> float
 (** Fraction of all lines currently owned by the given owner. *)

@@ -41,6 +41,7 @@ type result = {
 
 type proc = {
   prog : P.t;
+  code : I.t array;
   mach : Machine.t;
   owner : Cache.Owner.t;
   pred : Predictor.t;
@@ -57,19 +58,26 @@ type proc = {
 
 type global = { settings : settings }
 
-let ev proc ~pc e =
+(* The per-instruction path below allocates nothing (a fault aside):
+   events and accesses are keyed by instruction index into the collector's
+   flat arrays, the hierarchy answers with a constant constructor, branch
+   targets come pre-resolved from the program, and a transient fork reuses
+   the machine's one view. *)
+
+let ev proc ~idx e =
   match proc.collect with
-  | Some c -> Hpc.Collector.record_event c ~pc e
+  | Some c -> Hpc.Collector.record_event c ~idx e
   | None -> ()
 
-let acc proc ~pc ~target kind =
+let acc proc ~idx ~target kind =
   match proc.collect with
-  | Some c -> Hpc.Collector.record_access c ~pc ~target ~kind ~time:proc.now
+  | Some c -> Hpc.Collector.record_access c ~idx ~target ~kind ~time:proc.now
   | None -> ()
+
+let reg_or_zero mach = function Some r -> Machine.get_reg mach r | None -> 0
 
 let eff_addr mach (m : O.mem) =
-  let read = function Some r -> Machine.get_reg mach r | None -> 0 in
-  m.O.disp + read m.O.base + (read m.O.index * m.O.scale)
+  m.O.disp + reg_or_zero mach m.O.base + (reg_or_zero mach m.O.index * m.O.scale)
 
 let protected_fault g proc addr =
   (not proc.in_transient)
@@ -78,58 +86,58 @@ let protected_fault g proc addr =
   | Some (lo, hi) -> addr >= lo && addr < hi
   | None -> false
 
-let data_load g proc mach ~pc addr =
-  let oc = Cache.Hierarchy.load proc.hier ~owner:proc.owner addr in
-  proc.now <- proc.now + oc.Cache.Hierarchy.latency;
-  if oc.Cache.Hierarchy.l1_hit then ev proc ~pc Hpc.Event.L1d_load_hit
-  else begin
-    ev proc ~pc Hpc.Event.L1d_load_miss;
-    if oc.Cache.Hierarchy.llc_hit then ev proc ~pc Hpc.Event.Llc_load_hit
-    else begin
-      ev proc ~pc Hpc.Event.Llc_load_miss;
-      ev proc ~pc Hpc.Event.Cache_miss
-    end
-  end;
-  acc proc ~pc ~target:addr Hpc.Collector.Load;
+let data_load g proc mach ~idx addr =
+  let level = Cache.Hierarchy.load proc.hier ~owner:proc.owner addr in
+  proc.now <- proc.now + Cache.Hierarchy.latency proc.hier level;
+  (match level with
+  | Cache.Hierarchy.L1 -> ev proc ~idx Hpc.Event.L1d_load_hit
+  | Cache.Hierarchy.Llc ->
+    ev proc ~idx Hpc.Event.L1d_load_miss;
+    ev proc ~idx Hpc.Event.Llc_load_hit
+  | Cache.Hierarchy.Memory ->
+    ev proc ~idx Hpc.Event.L1d_load_miss;
+    ev proc ~idx Hpc.Event.Llc_load_miss;
+    ev proc ~idx Hpc.Event.Cache_miss);
+  acc proc ~idx ~target:addr Hpc.Collector.Load;
   (* The line is fetched (cache side effects above are real) before the
      permission check retires — faults are precise architecturally but late
      micro-architecturally. *)
   if protected_fault g proc addr then raise (Fault addr);
   Machine.load mach addr
 
-let data_store _g proc mach ~pc addr value =
-  let oc = Cache.Hierarchy.store proc.hier ~owner:proc.owner addr in
-  proc.now <- proc.now + oc.Cache.Hierarchy.latency;
-  if oc.Cache.Hierarchy.l1_hit then ev proc ~pc Hpc.Event.L1d_store_hit
-  else if oc.Cache.Hierarchy.llc_hit then ev proc ~pc Hpc.Event.Llc_store_hit
-  else begin
-    ev proc ~pc Hpc.Event.Llc_store_miss;
-    ev proc ~pc Hpc.Event.Cache_miss
-  end;
-  acc proc ~pc ~target:addr Hpc.Collector.Store;
+let data_store _g proc mach ~idx addr value =
+  let level = Cache.Hierarchy.store proc.hier ~owner:proc.owner addr in
+  proc.now <- proc.now + Cache.Hierarchy.latency proc.hier level;
+  (match level with
+  | Cache.Hierarchy.L1 -> ev proc ~idx Hpc.Event.L1d_store_hit
+  | Cache.Hierarchy.Llc -> ev proc ~idx Hpc.Event.Llc_store_hit
+  | Cache.Hierarchy.Memory ->
+    ev proc ~idx Hpc.Event.Llc_store_miss;
+    ev proc ~idx Hpc.Event.Cache_miss);
+  acc proc ~idx ~target:addr Hpc.Collector.Store;
   Machine.store mach addr value
 
-let eval g proc mach ~pc = function
+let eval g proc mach ~idx = function
   | O.Imm i -> i
   | O.Reg r -> Machine.get_reg mach r
-  | O.Mem m -> data_load g proc mach ~pc (eff_addr mach m)
+  | O.Mem m -> data_load g proc mach ~idx (eff_addr mach m)
 
-let write g proc mach ~pc dst value =
+let write g proc mach ~idx dst value =
   match dst with
   | O.Reg r -> Machine.set_reg mach r value
-  | O.Mem m -> data_store g proc mach ~pc (eff_addr mach m) value
+  | O.Mem m -> data_store g proc mach ~idx (eff_addr mach m) value
   | O.Imm _ -> invalid_arg "Exec: immediate as destination"
 
 let arith_flags mach result ~cf =
   Machine.set_flags mach ~zf:(result = 0) ~sf:(result < 0) ~cf
 
 (* Read-modify-write binary ALU op. *)
-let binop g proc mach ~pc dst src f ~cf_of =
-  let a = eval g proc mach ~pc dst in
-  let b = eval g proc mach ~pc src in
+let binop g proc mach ~idx dst src f ~cf_of =
+  let a = eval g proc mach ~idx dst in
+  let b = eval g proc mach ~idx src in
   let r = f a b in
   arith_flags mach r ~cf:(cf_of a b);
-  write g proc mach ~pc dst r
+  write g proc mach ~idx dst r
 
 let rsp = Isa.Reg.RSP
 let rax = Isa.Reg.RAX
@@ -142,95 +150,97 @@ let rax = Isa.Reg.RAX
 let rec step g proc mach ~transient =
   proc.in_transient <- transient;
   let idx = Machine.pc mach in
-  if idx < 0 || idx >= P.length proc.prog then begin
+  if idx < 0 || idx >= Array.length proc.code then begin
     Machine.set_halted mach true;
     false
   end
   else try begin
     let pc = P.addr_of_index proc.prog idx in
-    let fo = Cache.Hierarchy.ifetch proc.hier ~owner:proc.owner pc in
-    proc.now <- proc.now + fo.Cache.Hierarchy.latency;
-    if not fo.Cache.Hierarchy.l1_hit then begin
-      ev proc ~pc Hpc.Event.L1i_load_miss;
-      if not fo.Cache.Hierarchy.llc_hit then ev proc ~pc Hpc.Event.Cache_miss
-    end;
+    let fetched = Cache.Hierarchy.ifetch proc.hier ~owner:proc.owner pc in
+    proc.now <- proc.now + Cache.Hierarchy.latency proc.hier fetched;
+    (match fetched with
+    | Cache.Hierarchy.L1 -> ()
+    | Cache.Hierarchy.Llc -> ev proc ~idx Hpc.Event.L1i_load_miss
+    | Cache.Hierarchy.Memory ->
+      ev proc ~idx Hpc.Event.L1i_load_miss;
+      ev proc ~idx Hpc.Event.Cache_miss);
     if not transient then begin
       match proc.collect with
-      | Some c -> Hpc.Collector.note_executed c ~pc ~time:proc.now
+      | Some c -> Hpc.Collector.note_executed c ~idx ~time:proc.now
       | None -> ()
     end;
-    let ins = P.instr proc.prog idx in
+    let ins = proc.code.(idx) in
     proc.now <- proc.now + Timing.cost ins;
     let next = idx + 1 in
     Machine.set_pc mach next;
     (match ins with
     | I.Mov (dst, src) ->
-      let v = eval g proc mach ~pc src in
-      write g proc mach ~pc dst v
+      let v = eval g proc mach ~idx src in
+      write g proc mach ~idx dst v
     | I.Lea (r, op) -> begin
       match op with
       | O.Mem m -> Machine.set_reg mach r (eff_addr mach m)
       | O.Imm _ | O.Reg _ -> invalid_arg "Exec: lea needs a memory operand"
     end
-    | I.Add (d, s) -> binop g proc mach ~pc d s ( + ) ~cf_of:(fun _ _ -> false)
-    | I.Sub (d, s) -> binop g proc mach ~pc d s ( - ) ~cf_of:(fun a b -> a < b)
-    | I.Imul (d, s) -> binop g proc mach ~pc d s ( * ) ~cf_of:(fun _ _ -> false)
-    | I.Xor (d, s) -> binop g proc mach ~pc d s ( lxor ) ~cf_of:(fun _ _ -> false)
-    | I.And (d, s) -> binop g proc mach ~pc d s ( land ) ~cf_of:(fun _ _ -> false)
-    | I.Or (d, s) -> binop g proc mach ~pc d s ( lor ) ~cf_of:(fun _ _ -> false)
+    | I.Add (d, s) -> binop g proc mach ~idx d s ( + ) ~cf_of:(fun _ _ -> false)
+    | I.Sub (d, s) -> binop g proc mach ~idx d s ( - ) ~cf_of:(fun a b -> a < b)
+    | I.Imul (d, s) -> binop g proc mach ~idx d s ( * ) ~cf_of:(fun _ _ -> false)
+    | I.Xor (d, s) -> binop g proc mach ~idx d s ( lxor ) ~cf_of:(fun _ _ -> false)
+    | I.And (d, s) -> binop g proc mach ~idx d s ( land ) ~cf_of:(fun _ _ -> false)
+    | I.Or (d, s) -> binop g proc mach ~idx d s ( lor ) ~cf_of:(fun _ _ -> false)
     | I.Shl (d, n) ->
-      let a = eval g proc mach ~pc d in
+      let a = eval g proc mach ~idx d in
       let r = a lsl n in
       arith_flags mach r ~cf:false;
-      write g proc mach ~pc d r
+      write g proc mach ~idx d r
     | I.Shr (d, n) ->
-      let a = eval g proc mach ~pc d in
+      let a = eval g proc mach ~idx d in
       let r = a lsr n in
       arith_flags mach r ~cf:false;
-      write g proc mach ~pc d r
+      write g proc mach ~idx d r
     | I.Inc d ->
-      let r = eval g proc mach ~pc d + 1 in
+      let r = eval g proc mach ~idx d + 1 in
       (* x86 inc/dec leave CF untouched. *)
       Machine.set_flags mach ~zf:(r = 0) ~sf:(r < 0) ~cf:(Machine.cf mach);
-      write g proc mach ~pc d r
+      write g proc mach ~idx d r
     | I.Dec d ->
-      let r = eval g proc mach ~pc d - 1 in
+      let r = eval g proc mach ~idx d - 1 in
       Machine.set_flags mach ~zf:(r = 0) ~sf:(r < 0) ~cf:(Machine.cf mach);
-      write g proc mach ~pc d r
+      write g proc mach ~idx d r
     | I.Cmp (a, b) ->
-      let x = eval g proc mach ~pc a in
-      let y = eval g proc mach ~pc b in
+      let x = eval g proc mach ~idx a in
+      let y = eval g proc mach ~idx b in
       Machine.set_flags mach ~zf:(x = y) ~sf:(x - y < 0) ~cf:(x < y)
     | I.Test (a, b) ->
-      let x = eval g proc mach ~pc a in
-      let y = eval g proc mach ~pc b in
+      let x = eval g proc mach ~idx a in
+      let y = eval g proc mach ~idx b in
       let r = x land y in
       Machine.set_flags mach ~zf:(r = 0) ~sf:(r < 0) ~cf:false
-    | I.Jmp l ->
-      if not transient then note_btb g proc ~pc;
-      Machine.set_pc mach (P.label_index proc.prog l)
-    | I.Jcc (c, l) -> exec_jcc g proc mach ~transient ~pc ~idx c l
-    | I.Call l ->
-      if not transient then note_btb g proc ~pc;
+    | I.Jmp _ ->
+      if not transient then note_btb proc ~idx ~pc;
+      Machine.set_pc mach (P.target_index proc.prog idx)
+    | I.Jcc (c, _) -> exec_jcc g proc mach ~transient ~pc ~idx c
+    | I.Call _ ->
+      if not transient then note_btb proc ~idx ~pc;
       let sp = Machine.get_reg mach rsp - 8 in
       Machine.set_reg mach rsp sp;
-      data_store g proc mach ~pc sp next;
-      Machine.set_pc mach (P.label_index proc.prog l)
+      data_store g proc mach ~idx sp next;
+      Machine.set_pc mach (P.target_index proc.prog idx)
     | I.Ret ->
       let sp = Machine.get_reg mach rsp in
-      let target = data_load g proc mach ~pc sp in
+      let target = data_load g proc mach ~idx sp in
       Machine.set_reg mach rsp (sp + 8);
-      if target < 0 || target >= P.length proc.prog then
+      if target < 0 || target >= Array.length proc.code then
         Machine.set_halted mach true
       else Machine.set_pc mach target
     | I.Push s ->
-      let v = eval g proc mach ~pc s in
+      let v = eval g proc mach ~idx s in
       let sp = Machine.get_reg mach rsp - 8 in
       Machine.set_reg mach rsp sp;
-      data_store g proc mach ~pc sp v
+      data_store g proc mach ~idx sp v
     | I.Pop r ->
       let sp = Machine.get_reg mach rsp in
-      let v = data_load g proc mach ~pc sp in
+      let v = data_load g proc mach ~idx sp in
       Machine.set_reg mach rsp (sp + 8);
       Machine.set_reg mach r v
     | I.Clflush op -> begin
@@ -239,12 +249,12 @@ let rec step g proc mach ~transient =
         let addr = eff_addr mach m in
         let latency = Cache.Hierarchy.flush proc.hier addr in
         proc.now <- proc.now + latency;
-        acc proc ~pc ~target:addr Hpc.Collector.Flush
+        acc proc ~idx ~target:addr Hpc.Collector.Flush
       | O.Imm _ | O.Reg _ -> invalid_arg "Exec: clflush needs a memory operand"
     end
     | I.Prefetch op -> begin
       match op with
-      | O.Mem m -> ignore (data_load g proc mach ~pc (eff_addr mach m))
+      | O.Mem m -> ignore (data_load g proc mach ~idx (eff_addr mach m))
       | O.Imm _ | O.Reg _ -> invalid_arg "Exec: prefetch needs a memory operand"
     end
     | I.Mfence | I.Lfence | I.Cpuid ->
@@ -254,7 +264,7 @@ let rec step g proc mach ~transient =
       if transient then Machine.set_halted mach true
     | I.Rdtsc | I.Rdtscp ->
       Machine.set_reg mach rax proc.now;
-      ev proc ~pc Hpc.Event.Timestamp
+      ev proc ~idx Hpc.Event.Timestamp
     | I.Nop -> ()
     | I.Halt -> Machine.set_halted mach true);
     true
@@ -270,22 +280,21 @@ let rec step g proc mach ~transient =
     | exception Not_found -> Machine.set_halted mach true);
     true
 
-and note_btb g proc ~pc =
-  ignore g;
+and note_btb proc ~idx ~pc =
   if not (Predictor.btb_seen proc.pred ~pc) then begin
-    ev proc ~pc Hpc.Event.Branch_load_miss;
+    ev proc ~idx Hpc.Event.Branch_load_miss;
     Predictor.btb_insert proc.pred ~pc
   end
 
-and exec_jcc g proc mach ~transient ~pc ~idx cond label =
-  let target = P.label_index proc.prog label in
+and exec_jcc g proc mach ~transient ~pc ~idx cond =
+  let target = P.target_index proc.prog idx in
   let taken = Machine.cond_holds mach cond in
   if not transient then begin
-    note_btb g proc ~pc;
+    note_btb proc ~idx ~pc;
     let predicted = Predictor.predict_taken proc.pred ~pc in
     Predictor.update proc.pred ~pc ~taken;
     if predicted <> taken then begin
-      ev proc ~pc Hpc.Event.Branch_miss;
+      ev proc ~idx Hpc.Event.Branch_miss;
       proc.now <- proc.now + Timing.mispredict_penalty;
       if proc.spec && g.settings.spec_window > 0 then
         run_transient g proc ~from:(if predicted then target else idx + 1)
@@ -293,11 +302,12 @@ and exec_jcc g proc mach ~transient ~pc ~idx cond label =
   end;
   Machine.set_pc mach (if taken then target else idx + 1)
 
-(* Transient execution down the mispredicted path: runs on a snapshot whose
-   architectural effects are discarded, while cache fills/evictions and HPC
-   events go through the real shared hierarchy. *)
+(* Transient execution down the mispredicted path: runs on the machine's
+   forked view, whose architectural effects (registers, and stores kept in
+   its overlay) are discarded, while cache fills/evictions and HPC events go
+   through the real shared hierarchy. *)
 and run_transient g proc ~from =
-  let shadow = Machine.snapshot proc.mach in
+  let shadow = Machine.fork proc.mach in
   Machine.set_pc shadow from;
   (* Wrong-path work overlaps the pipeline flush on a real core; its latency
      is covered by the mispredict penalty, so the architectural clock is
@@ -320,10 +330,11 @@ let run ?(settings = default_settings) ?hierarchy ?victim_hierarchy ?init
      cross-core view is supplied *)
   let victim_hier = Option.value ~default:hier victim_hierarchy in
   let g = { settings } in
-  let collector = Hpc.Collector.create () in
+  let collector = Hpc.Collector.create prog in
   let att =
     {
       prog;
+      code = P.code prog;
       mach = Machine.create ();
       owner = Cache.Owner.Attacker;
       pred = Predictor.create ();
@@ -342,6 +353,7 @@ let run ?(settings = default_settings) ?hierarchy ?victim_hierarchy ?init
         vinit mach;
         {
           prog = vprog;
+          code = P.code vprog;
           mach;
           owner = Cache.Owner.Victim;
           pred = Predictor.create ();
@@ -388,16 +400,3 @@ let run ?(settings = default_settings) ?hierarchy ?victim_hierarchy ?init
     hierarchy = hier;
     machine = att.mach;
   }
-
-let run_addresses ?hierarchy ~owner accesses =
-  let hier =
-    match hierarchy with Some h -> h | None -> Cache.Hierarchy.create ()
-  in
-  List.iter
-    (fun (addr, kind) ->
-      match kind with
-      | Hpc.Collector.Load -> ignore (Cache.Hierarchy.load hier ~owner addr)
-      | Hpc.Collector.Store -> ignore (Cache.Hierarchy.store hier ~owner addr)
-      | Hpc.Collector.Flush -> ignore (Cache.Hierarchy.flush hier addr))
-    accesses;
-  hier

@@ -59,10 +59,3 @@ val run :
     [hierarchy] (SMT co-residency); pass the second half of
     {!Cache.Hierarchy.create_cross_core} as [victim_hierarchy] for the
     cross-core topology (private L1s, shared LLC). *)
-
-val run_addresses :
-  ?hierarchy:Cache.Hierarchy.t -> owner:Cache.Owner.t ->
-  (int * Hpc.Collector.access_kind) list -> Cache.Hierarchy.t
-(** [run_addresses ~owner accs] replays bare memory accesses through a cache
-    hierarchy (no program semantics) — the "cache simulator" role of CST
-    measurement (§III-A3).  Returns the hierarchy for state inspection. *)

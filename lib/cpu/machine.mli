@@ -36,12 +36,16 @@ val set_pc : t -> int -> unit
 val halted : t -> bool
 val set_halted : t -> bool -> unit
 
-val snapshot : t -> t
-(** Deep copy (used to fork transient execution). *)
-
-val mem_size : t -> int
-(** Number of touched memory locations. *)
+val fork : t -> t
+(** [fork t] is [t]'s transient view, as the mispredicted path sees it:
+    registers, flags, pc and halt state copied from [t], over [t]'s memory,
+    with the view's own stores kept in a private overlay that [t] never
+    sees.  Memory is not copied.  Each machine owns one view, allocated by
+    its first fork and re-synchronised (overlay emptied) by every later
+    one, so a view is valid only until the next [fork t].
+    @raise Invalid_argument when [t] is itself a view. *)
 
 val fold_mem : t -> init:'a -> f:(int -> int -> 'a -> 'a) -> 'a
 (** Fold over all touched memory locations (address, value) in unspecified
-    order — used by equivalence checks and diagnostics. *)
+    order — used by equivalence checks and diagnostics.  A view folds the
+    memory it reads through, without its overlay. *)

@@ -22,4 +22,3 @@ val btb_seen : t -> pc:int -> bool
 
 val btb_insert : t -> pc:int -> unit
 
-val reset : t -> unit

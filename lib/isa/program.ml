@@ -5,6 +5,7 @@ type t = {
   base : int;
   code : Instr.t array;
   label_tbl : (string, int) Hashtbl.t;
+  targets : int array; (* resolved branch/call target index, or -1 *)
   tag_arr : string list array;
 }
 
@@ -34,20 +35,25 @@ let assemble ?(base = 0x400000) ?(tags = []) ~name stmts =
       if i >= Array.length code then
         invalid_arg (Printf.sprintf "Program.assemble: label %S past end" l))
     label_tbl;
-  Array.iter
-    (fun ins ->
-      match Instr.branch_target ins with
-      | Some l when not (Hashtbl.mem label_tbl l) ->
-        invalid_arg (Printf.sprintf "Program.assemble: unbound label %S" l)
-      | Some _ | None -> ())
-    code;
+  let targets =
+    Array.map
+      (fun ins ->
+        match Instr.branch_target ins with
+        | Some l -> (
+          match Hashtbl.find_opt label_tbl l with
+          | Some i -> i
+          | None ->
+            invalid_arg (Printf.sprintf "Program.assemble: unbound label %S" l))
+        | None -> -1)
+      code
+  in
   let tag_arr = Array.make (Array.length code) [] in
   List.iter
     (fun (i, ts) ->
       if i >= 0 && i < Array.length code then
         tag_arr.(i) <- ts @ tag_arr.(i))
     tags;
-  { name; base; code; label_tbl; tag_arr }
+  { name; base; code; label_tbl; targets; tag_arr }
 
 let name t = t.name
 let base t = t.base
@@ -68,6 +74,8 @@ let index_of_addr t a =
     if i < Array.length t.code then Some i else None
 
 let label_index t l = Hashtbl.find t.label_tbl l
+
+let target_index t i = t.targets.(i)
 
 let labels t =
   Hashtbl.fold (fun l i acc -> (l, i) :: acc) t.label_tbl []

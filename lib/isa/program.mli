@@ -44,6 +44,11 @@ val index_of_addr : t -> int -> int option
 val label_index : t -> string -> int
 (** Index bound to a label.  @raise Not_found for unknown labels. *)
 
+val target_index : t -> int -> int
+(** [target_index p i] is the index the branch target of instruction [i]
+    ([Jmp], [Jcc] or [Call]) resolves to, computed once at assembly; [-1]
+    for every other instruction.  @raise Invalid_argument out of range. *)
+
 val labels : t -> (string * int) list
 (** All labels with their indices, sorted by index. *)
 

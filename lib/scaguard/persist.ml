@@ -377,21 +377,39 @@ let parse_header r ~kind =
       (Char.chr kind) (Char.chr k);
   v
 
+(* The string table, with each entry's {!Sutil.Intern.global} id resolved
+   the first time the entry is read as a token: a load then interns every
+   distinct token once, not once per occurrence, and never interns model
+   names or families.  Two domains reading one lazy image may both resolve
+   an entry; they store the same id. *)
+type parsed_table = { strings : string array; ids : int array (* -1: unresolved *) }
+
 let parse_table r =
   let n = Binfmt.count r ~what:"string table" in
-  Array.init n (fun _ -> Binfmt.string r)
+  let strings = Array.init n (fun _ -> Binfmt.string r) in
+  { strings; ids = Array.make n (-1) }
 
-let parse_sid r strings =
+let parse_sid_index r table =
   let i = Binfmt.uint r in
-  if i >= Array.length strings then
+  if i >= Array.length table.strings then
     Binfmt.fail r "string id %d out of range (table has %d)" i
-      (Array.length strings);
-  strings.(i)
+      (Array.length table.strings);
+  i
+
+let parse_sid r table = table.strings.(parse_sid_index r table)
+
+let token_id table i =
+  match table.ids.(i) with
+  | -1 ->
+    let id = Sutil.Intern.intern Sutil.Intern.global table.strings.(i) in
+    table.ids.(i) <- id;
+    id
+  | id -> id
 
 (* Decode one model blob.  Returns the model paired with its summary,
    rebuilt from the inline magnitudes via Dtw.summarize_with — identical to
    Dtw.summarize because the CST floats round-trip bit-exactly. *)
-let parse_model_blob r strings ~name =
+let parse_model_blob r table ~name =
   let n_entries = Binfmt.count r ~what:"entry" in
   let entries =
     Array.init n_entries (fun _ ->
@@ -410,8 +428,16 @@ let parse_model_blob r strings ~name =
           | exception Invalid_argument m -> Binfmt.fail r "bad cst: %s" m
         in
         let n_tokens = Binfmt.count r ~what:"token" in
-        let normalized = Array.init n_tokens (fun _ -> parse_sid r strings) in
-        Model.make_entry ~block ~instrs:[] ~normalized ~cst ~first_time)
+        let normalized = Array.make n_tokens "" in
+        let tokens = Array.make n_tokens 0 in
+        for k = 0 to n_tokens - 1 do
+          let i = parse_sid_index r table in
+          normalized.(k) <- table.strings.(i);
+          tokens.(k) <- token_id table i
+        done;
+        (* built directly rather than by Model.make_entry, which would
+           intern every token again: [tokens] already holds the ids *)
+        { Model.block; instrs = []; normalized; tokens; cst; first_time })
   in
   let mags = Array.init n_entries (fun _ -> Binfmt.float r) in
   let model = Model.make ~name (Array.to_list entries) in
@@ -419,11 +445,11 @@ let parse_model_blob r strings ~name =
 
 type index_entry = { ix_name : string; ix_family : string; ix_len : int }
 
-let parse_index r strings =
+let parse_index r table =
   let n = Binfmt.count r ~what:"model index" in
   Array.init n (fun _ ->
-      let ix_name = parse_sid r strings in
-      let ix_family = parse_sid r strings in
+      let ix_name = parse_sid r table in
+      let ix_family = parse_sid r table in
       let ix_len = Binfmt.uint r in
       { ix_name; ix_family; ix_len })
 
@@ -459,8 +485,8 @@ let parse_vpindex_section r ~version ~size =
    the index declared for it. *)
 let parse_repository_bin r =
   let version = parse_header r ~kind:kind_repository in
-  let strings = parse_table r in
-  let index = parse_index r strings in
+  let table = parse_table r in
+  let index = parse_index r table in
   let vpindex =
     parse_vpindex_section r ~version ~size:(Array.length index)
   in
@@ -470,7 +496,7 @@ let parse_repository_bin r =
       (Array.map
          (fun e ->
            let start = Binfmt.pos r in
-           let model, summary = parse_model_blob r strings ~name:e.ix_name in
+           let model, summary = parse_model_blob r table ~name:e.ix_name in
            if Binfmt.pos r - start <> e.ix_len then
              Binfmt.fail r
                "model %S blob length mismatch (index said %d, read %d)"
@@ -483,9 +509,9 @@ let parse_repository_bin r =
 
 let parse_model_bin r =
   let _version = parse_header r ~kind:kind_model in
-  let strings = parse_table r in
-  let name = parse_sid r strings in
-  let model, _summary = parse_model_blob r strings ~name in
+  let table = parse_table r in
+  let name = parse_sid r table in
+  let model, _summary = parse_model_blob r table ~name in
   if Binfmt.remaining r <> 0 then
     Binfmt.fail r "trailing garbage after model (%d bytes)" (Binfmt.remaining r);
   model
@@ -506,15 +532,15 @@ let model_of_bytes_result ?file s = Binfmt.run ?file parse_model_bin s
 type image = {
   img_path : string;
   img_data : string;
-  img_strings : string array;
+  img_table : parsed_table;
   img_index : (index_entry * int) array;  (* entry, absolute blob offset *)
   img_vpindex : Vpindex.t option;
 }
 
 let parse_image ~path data r =
   let version = parse_header r ~kind:kind_repository in
-  let strings = parse_table r in
-  let index = parse_index r strings in
+  let table = parse_table r in
+  let index = parse_index r table in
   let vpindex =
     parse_vpindex_section r ~version ~size:(Array.length index)
   in
@@ -531,7 +557,7 @@ let parse_image ~path data r =
   {
     img_path = path;
     img_data = data;
-    img_strings = strings;
+    img_table = table;
     img_index;
     img_vpindex = vpindex;
   }
@@ -559,7 +585,7 @@ let image_load_prepared_result img ~name =
     Binfmt.run ~file:img.img_path
       (fun r ->
         let model, summary =
-          parse_model_blob r img.img_strings ~name:e.ix_name
+          parse_model_blob r img.img_table ~name:e.ix_name
         in
         if Binfmt.remaining r <> 0 then
           Binfmt.fail r "model %S blob length mismatch" e.ix_name;

@@ -59,24 +59,30 @@ let timed_build ~name i build =
   end
   else build ()
 
-(* Fan the jobs over a pool with one Cst.measurer per worker (the per-block
-   CST simulator is reused instead of reallocated), collecting models by
-   index.  Output order is the input order regardless of which worker ran
-   what, and each job's computation is independent of every other's, so
-   results are byte-identical to a sequential loop. *)
+(* Fan the jobs over a pool with one Cst.measurer and one cache hierarchy
+   per worker (the per-block CST simulator and the simulated caches are
+   reset and reused instead of reallocated), collecting models by index.
+   A reset hierarchy is exactly a fresh one, output order is the input
+   order regardless of which worker ran what, and each job's computation is
+   independent of every other's, so results are byte-identical to a
+   sequential loop. *)
 let build_models_batch ?domains ?cache ?max_paths ?max_len ?cst_config jobs =
   let n = Array.length jobs in
   let workers = Sutil.Pool.domains_for ?domains n in
   let measurers = Array.init workers (fun _ -> Cst.measurer ()) in
-  let build_one ~measurer i =
+  let hierarchies = Array.init workers (fun _ -> Cache.Hierarchy.create ()) in
+  let build_one ~worker i =
     let j = jobs.(i) in
     let build () =
       timed_build ~name:j.job_name i (fun () ->
+          let hierarchy = hierarchies.(worker) in
+          Cache.Hierarchy.reset hierarchy;
           let exec =
-            Cpu.Exec.run ?settings:j.settings ?init:j.init ?victim:j.victim
-              j.program
+            Cpu.Exec.run ?settings:j.settings ~hierarchy ?init:j.init
+              ?victim:j.victim j.program
           in
-          (analyze ?max_paths ?max_len ?cst_config ~measurer ~name:j.job_name
+          (analyze ?max_paths ?max_len ?cst_config
+             ~measurer:measurers.(worker) ~name:j.job_name
              ~program:j.program exec)
             .model)
     in
@@ -94,5 +100,5 @@ let build_models_batch ?domains ?cache ?max_paths ?max_len ?cst_config jobs =
   let probe = if Obs.tracing () then Obs.pool_probe ~stage:"build" else None in
   ignore
     (Sutil.Pool.run ?domains ?probe ~tasks:n (fun ~worker i ->
-         out.(i) <- Some (build_one ~measurer:measurers.(worker) i)));
+         out.(i) <- Some (build_one ~worker i)));
   Array.map Option.get out

@@ -41,41 +41,45 @@ let identify ?(llc_set_of_addr = default_llc_set) cfg collector =
         if hpc_of_block.(b.BB.id) > 0.0 then Some b.BB.id else None)
       (G.blocks cfg)
   in
-  (* Collect data accesses (the Intel-PT stand-in) per block. *)
+  (* Collect data accesses (the Intel-PT stand-in) per block, reading the
+     collector's log in place; walking it backwards conses each block's
+     list in chronological order. *)
   let accesses_of_block = Array.make n [] in
-  List.iter
-    (fun (a : Hpc.Collector.access) ->
-      match G.block_of_addr cfg a.Hpc.Collector.pc with
-      | Some b ->
-        accesses_of_block.(b.BB.id) <-
-          (a.Hpc.Collector.target, a.Hpc.Collector.kind)
-          :: accesses_of_block.(b.BB.id)
-      | None -> ())
-    (Hpc.Collector.accesses collector);
-  Array.iteri
-    (fun i l -> accesses_of_block.(i) <- List.rev l)
-    accesses_of_block;
+  let n_instrs = Isa.Program.length prog in
+  for i = Hpc.Collector.access_count collector - 1 downto 0 do
+    let idx = Hpc.Collector.access_index collector i in
+    if idx < n_instrs then begin
+      let b = (G.block_of_index cfg idx).BB.id in
+      accesses_of_block.(b) <-
+        ( Hpc.Collector.access_target collector i,
+          Hpc.Collector.access_kind collector i )
+        :: accesses_of_block.(b)
+    end
+  done;
   (* Step 2: keep candidates touching a cache set that at least one other
-     candidate also touches. *)
-  let sets_of_block b =
-    List.sort_uniq Int.compare
-      (List.map (fun (addr, _) -> llc_set_of_addr addr) accesses_of_block.(b))
-  in
-  let touch_count = Hashtbl.create 64 in
+     candidate also touches.  [toucher] maps each touched set to the one
+     candidate that touched it, or to [shared] once a second one does. *)
+  let shared = -1 and untouched = -2 in
+  let toucher = Sutil.Int_table.create 64 in
   List.iter
     (fun b ->
       List.iter
-        (fun s ->
-          Hashtbl.replace touch_count s
-            (1 + Option.value ~default:0 (Hashtbl.find_opt touch_count s)))
-        (sets_of_block b))
+        (fun (addr, _) ->
+          let s = llc_set_of_addr addr in
+          let t = Sutil.Int_table.find toucher s ~default:untouched in
+          if t = untouched then Sutil.Int_table.replace toucher s b
+          else if t <> b && t <> shared then
+            Sutil.Int_table.replace toucher s shared)
+        accesses_of_block.(b))
     step1;
   let relevant =
     List.filter
       (fun b ->
         List.exists
-          (fun s -> Option.value ~default:0 (Hashtbl.find_opt touch_count s) >= 2)
-          (sets_of_block b))
+          (fun (addr, _) ->
+            Sutil.Int_table.find toucher (llc_set_of_addr addr) ~default:untouched
+            = shared)
+          accesses_of_block.(b))
       step1
   in
   { cfg; hpc_of_block; accesses_of_block; first_time_of_block; step1; relevant }

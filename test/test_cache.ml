@@ -47,10 +47,10 @@ let small () = SA.create (C.make ~sets:4 ~ways:2 ())
 
 let test_sa_hit_miss () =
   let c = small () in
-  let r1 = SA.access c ~owner:Ow.Attacker 0 in
-  check_bool "first is miss" false r1.SA.hit;
-  let r2 = SA.access c ~owner:Ow.Attacker 0 in
-  check_bool "second is hit" true r2.SA.hit;
+  check_bool "first is miss" false (SA.access c ~owner:Ow.Attacker 0);
+  check_int "cold fill evicts nothing" (-1) (SA.evicted c);
+  check_bool "second is hit" true (SA.access c ~owner:Ow.Attacker 0);
+  check_int "hit evicts nothing" (-1) (SA.evicted c);
   check_bool "probe sees it" true (SA.probe c 0);
   check_bool "other set absent" false (SA.probe c 64)
 
@@ -61,13 +61,10 @@ let test_sa_lru_eviction () =
   ignore (SA.access c ~owner:Ow.Attacker 0);
   ignore (SA.access c ~owner:Ow.Attacker 256);
   ignore (SA.access c ~owner:Ow.Attacker 0); (* refresh line 0 *)
-  let r = SA.access c ~owner:Ow.Attacker 512 in
-  check_bool "evicted something" true (Option.is_some r.SA.evicted);
-  (match r.SA.evicted with
-  | Some (addr, owner) ->
-    check_int "evicted LRU line 256" 256 addr;
-    check_bool "owner recorded" true (Ow.equal owner Ow.Attacker)
-  | None -> ());
+  check_bool "miss" false (SA.access c ~owner:Ow.Attacker 512);
+  check_int "evicted LRU line 256" 256 (SA.evicted c);
+  check_float "ownership moves with the line" (2.0 /. 8.0)
+    (SA.occupancy c Ow.Attacker);
   check_bool "line 0 survived" true (SA.probe c 0);
   check_bool "line 256 gone" false (SA.probe c 256)
 
@@ -132,6 +129,55 @@ let prop_valid_lines_bounded =
       List.iter (fun a -> ignore (SA.access c ~owner:Ow.System (a * 64))) addrs;
       SA.valid_lines c <= 8)
 
+(* Replay an address stream, recording each access's hit bit and evicted
+   line, then the final state. *)
+let replay c addrs =
+  let trace =
+    List.map
+      (fun a ->
+        let hit = SA.access c ~owner:Ow.Attacker a in
+        (hit, SA.evicted c))
+      addrs
+  in
+  (trace, SA.state c, SA.valid_lines c)
+
+let test_sa_reset_is_fresh_random () =
+  (* One set of four ways and 64 congruent lines: nearly every access is a
+     miss that asks the Random policy's generator for a victim. *)
+  let cfg = C.make ~sets:1 ~ways:4 () in
+  let addrs = List.init 200 (fun i -> ((i * 37) mod 64) * 64) in
+  let fresh () = SA.create ~policy:(Cache.Policy.Random 7) cfg in
+  let reused = fresh () in
+  ignore (replay reused addrs);
+  SA.reset reused;
+  check_bool "replay after reset = replay after create" true
+    (replay reused addrs = replay (fresh ()) addrs)
+
+let prop_reset_is_fresh =
+  QCheck.Test.make ~name:"reset + replay = create + replay, every policy"
+    ~count:100
+    (QCheck.make
+       QCheck.Gen.(
+         triple (int_range 0 2)
+           (list_size (int_range 0 200) (int_range 0 127))
+           (list_size (int_range 0 200) (int_range 0 127))))
+    (fun (p, warm, ops) ->
+      let policy = List.nth Cache.Policy.[ Lru; Fifo; Random 7 ] p in
+      let cfg = C.make ~sets:4 ~ways:2 () in
+      let run c =
+        List.map
+          (fun a ->
+            if a mod 5 = 0 then (SA.flush c (a * 64), -2)
+            else (SA.access c ~owner:Ow.Victim (a * 64), SA.evicted c))
+          ops
+      in
+      let reused = SA.create ~policy cfg in
+      List.iter (fun a -> ignore (SA.access reused ~owner:Ow.System (a * 64))) warm;
+      SA.fill_all reused ~owner:Ow.System;
+      SA.reset reused;
+      let fresh = SA.create ~policy cfg in
+      run reused = run fresh && SA.state reused = SA.state fresh)
+
 (* Reference LRU model: an association list per set, most recent first. *)
 let prop_lru_matches_reference =
   QCheck.Test.make ~name:"set_assoc LRU matches a reference model" ~count:200
@@ -147,13 +193,13 @@ let prop_lru_matches_reference =
           let set = C.set_of_addr cfg addr in
           match kind with
           | 0 ->
-            let r = SA.access cache ~owner:Ow.Attacker addr in
+            let hit = SA.access cache ~owner:Ow.Attacker addr in
             let model_hit = List.mem addr model.(set) in
             model.(set) <-
               addr :: List.filter (fun a -> a <> addr) model.(set);
             if List.length model.(set) > 2 then
               model.(set) <- List.filteri (fun i _ -> i < 2) model.(set);
-            r.SA.hit = model_hit
+            hit = model_hit
           | _ ->
             let was = List.mem addr model.(set) in
             model.(set) <- List.filter (fun a -> a <> addr) model.(set);
@@ -162,13 +208,16 @@ let prop_lru_matches_reference =
 
 (* ---- Hierarchy -------------------------------------------------------------------- *)
 
+let l1_hit = function H.L1 -> true | H.Llc | H.Memory -> false
+let llc_hit = function H.Llc -> true | H.L1 | H.Memory -> false
+
 let test_hierarchy_latencies () =
   let h = H.create () in
   let miss = H.load h ~owner:Ow.Attacker 0x1000 in
-  check_int "cold miss" H.default_latencies.H.memory miss.H.latency;
+  check_int "cold miss" H.default_latencies.H.memory (H.latency h miss);
   let hit = H.load h ~owner:Ow.Attacker 0x1000 in
-  check_bool "l1 hit" true hit.H.l1_hit;
-  check_int "l1 latency" H.default_latencies.H.l1_hit hit.H.latency
+  check_bool "l1 hit" true (l1_hit hit);
+  check_int "l1 latency" H.default_latencies.H.l1_hit (H.latency h hit)
 
 let test_hierarchy_llc_hit_after_l1_evict () =
   let h = H.create () in
@@ -179,9 +228,9 @@ let test_hierarchy_llc_hit_after_l1_evict () =
     ignore (H.load h ~owner:Ow.Attacker (0x1000 + (i * 4096)))
   done;
   let r = H.load h ~owner:Ow.Attacker 0x1000 in
-  check_bool "not in l1" false r.H.l1_hit;
-  check_bool "still in llc" true r.H.llc_hit;
-  check_int "llc latency" H.default_latencies.H.llc_hit r.H.latency
+  check_bool "not in l1" false (l1_hit r);
+  check_bool "still in llc" true (llc_hit r);
+  check_int "llc latency" H.default_latencies.H.llc_hit (H.latency h r)
 
 let test_hierarchy_flush_timing () =
   let h = H.create () in
@@ -214,23 +263,36 @@ let test_hierarchy_inclusive () =
   (* Back-invalidation must have removed it from L1 too: the reload misses
      everywhere. *)
   let r = H.load h ~owner:Ow.Attacker 0x3000 in
-  check_bool "l1 invalidated" false r.H.l1_hit;
-  check_bool "llc evicted" false r.H.llc_hit
+  check_bool "l1 invalidated" false (l1_hit r);
+  check_bool "llc evicted" false (llc_hit r)
 
 let test_hierarchy_ifetch_separate () =
   let h = H.create () in
   ignore (H.ifetch h ~owner:Ow.Attacker 0x4000);
   let r = H.ifetch h ~owner:Ow.Attacker 0x4000 in
-  check_bool "l1i hit" true r.H.l1_hit;
+  check_bool "l1i hit" true (l1_hit r);
   (* data side unaffected *)
   let d = H.load h ~owner:Ow.Attacker 0x4000 in
-  check_bool "l1d separate" false d.H.l1_hit
+  check_bool "l1d separate" false (l1_hit d)
 
-let test_hierarchy_fill_with () =
+let test_hierarchy_states_and_reset () =
   let h = H.create () in
-  H.fill_with h ~owner:Ow.System;
-  let s = H.llc_state h in
-  check_float "full of system data" 1.0 s.S.io
+  for i = 0 to 15 do
+    ignore (H.load h ~owner:Ow.Attacker (0x8000 + (i * 64)))
+  done;
+  ignore (H.ifetch h ~owner:Ow.Victim 0x400000);
+  let l1d, l1i, llc = H.states h in
+  check_float "l1d attacker lines" (16.0 /. 512.0) l1d.S.ao;
+  check_float "l1i victim line" (1.0 /. 512.0) l1i.S.io;
+  check_float "llc attacker lines" (16.0 /. 8192.0) llc.S.ao;
+  check_float "llc victim line" (1.0 /. 8192.0) llc.S.io;
+  H.reset h;
+  let l1d, l1i, llc = H.states h in
+  List.iter
+    (fun (s : S.t) -> check_float "reset empties" 0.0 (s.S.ao +. s.S.io))
+    [ l1d; l1i; llc ];
+  check_bool "reload after reset misses" true
+    (H.load h ~owner:Ow.Attacker 0x8000 = H.Memory)
 
 let test_hierarchy_non_inclusive () =
   let h = decoupled_non_inclusive () in
@@ -240,19 +302,19 @@ let test_hierarchy_non_inclusive () =
   done;
   (* LLC evicted the line but no back-invalidation: L1 still hits *)
   let r = H.load h ~owner:Ow.Attacker 0x3000 in
-  check_bool "l1 keeps the line" true r.H.l1_hit
+  check_bool "l1 keeps the line" true (l1_hit r)
 
 let test_hierarchy_prefetcher () =
   let h = H.create ~prefetch:true () in
   ignore (H.load h ~owner:Ow.Attacker 0x5000);
   (* the next line was prefetched: its demand load hits *)
   let r = H.load h ~owner:Ow.Attacker 0x5040 in
-  check_bool "next line prefetched" true r.H.l1_hit;
+  check_bool "next line prefetched" true (l1_hit r);
   (* no prefetcher by default *)
   let h2 = H.create () in
   ignore (H.load h2 ~owner:Ow.Attacker 0x5000);
   let r2 = H.load h2 ~owner:Ow.Attacker 0x5040 in
-  check_bool "default has no prefetcher" false r2.H.l1_hit
+  check_bool "default has no prefetcher" false (l1_hit r2)
 
 let test_policy_fifo_no_refresh () =
   let c = SA.create ~policy:Cache.Policy.Fifo (C.make ~sets:1 ~ways:2 ()) in
@@ -277,8 +339,8 @@ let test_cross_core_flush_propagates () =
   (* attacker's clflush must invalidate the peer's private copy too *)
   ignore (H.flush a 0x6000);
   let r = H.load b ~owner:Ow.Victim 0x6000 in
-  check_bool "peer L1 invalidated" false r.H.l1_hit;
-  check_bool "LLC invalidated" false r.H.llc_hit
+  check_bool "peer L1 invalidated" false (l1_hit r);
+  check_bool "LLC invalidated" false (llc_hit r)
 
 let test_cross_core_private_l1s () =
   let a, b = H.create_cross_core () in
@@ -286,8 +348,8 @@ let test_cross_core_private_l1s () =
   (* the attacker's first load of the victim-cached line misses its private
      L1 but hits the shared LLC *)
   let r = H.load a ~owner:Ow.Attacker 0x7000 in
-  check_bool "attacker L1 miss" false r.H.l1_hit;
-  check_bool "shared LLC hit" true r.H.llc_hit
+  check_bool "attacker L1 miss" false (l1_hit r);
+  check_bool "shared LLC hit" true (llc_hit r)
 
 (* ---- State ------------------------------------------------------------------------- *)
 
@@ -333,6 +395,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_occupancy_invariant;
           QCheck_alcotest.to_alcotest prop_valid_lines_bounded;
           QCheck_alcotest.to_alcotest prop_lru_matches_reference;
+          Alcotest.test_case "reset is fresh (Random 7)" `Quick
+            test_sa_reset_is_fresh_random;
+          QCheck_alcotest.to_alcotest prop_reset_is_fresh;
         ] );
       ( "hierarchy",
         [
@@ -342,7 +407,7 @@ let () =
           Alcotest.test_case "flush timing" `Quick test_hierarchy_flush_timing;
           Alcotest.test_case "inclusive back-invalidate" `Quick test_hierarchy_inclusive;
           Alcotest.test_case "split ifetch" `Quick test_hierarchy_ifetch_separate;
-          Alcotest.test_case "fill_with" `Quick test_hierarchy_fill_with;
+          Alcotest.test_case "states and reset" `Quick test_hierarchy_states_and_reset;
           Alcotest.test_case "non-inclusive keeps L1" `Quick test_hierarchy_non_inclusive;
           Alcotest.test_case "prefetcher" `Quick test_hierarchy_prefetcher;
         ] );

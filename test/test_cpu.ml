@@ -34,11 +34,25 @@ let test_machine_snapshot_isolated () =
   let m = M.create () in
   M.store m 1 10;
   M.set_reg m R.RBX 5;
-  let s = M.snapshot m in
+  let s = M.fork m in
+  check_int "view reads through" 10 (M.load s 1);
+  check_int "view copies regs" 5 (M.get_reg s R.RBX);
   M.store s 1 99;
+  M.store s 2 42;
   M.set_reg s R.RBX 77;
+  check_int "view sees its store" 99 (M.load s 1);
   check_int "orig mem intact" 10 (M.load m 1);
-  check_int "orig reg intact" 5 (M.get_reg m R.RBX)
+  check_int "orig untouched address" 0 (M.load m 2);
+  check_int "orig reg intact" 5 (M.get_reg m R.RBX);
+  check_int "no new location" 1 (M.fold_mem m ~init:0 ~f:(fun _ _ n -> n + 1));
+  (* a second fork starts again from the machine's current state *)
+  M.store m 1 11;
+  let s' = M.fork m in
+  check_bool "the view is reused" true (s == s');
+  check_int "overlay emptied" 11 (M.load s' 1);
+  check_int "overlay emptied elsewhere" 0 (M.load s' 2);
+  check_bool "a view cannot fork" true
+    (try ignore (M.fork s'); false with Invalid_argument _ -> true)
 
 let test_machine_conditions () =
   let m = M.create () in
@@ -221,7 +235,7 @@ let test_exec_prefetch_and_rmw () =
   check_int "rmw chain" 16 (M.load r.E.machine 0x16000);
   (* prefetch filled the line: a demand load hits *)
   let probe = Cache.Hierarchy.load r.E.hierarchy ~owner:Cache.Owner.Attacker 0x15000 in
-  check_bool "prefetched line cached" true probe.Cache.Hierarchy.l1_hit
+  check_bool "prefetched line cached" true (probe = Cache.Hierarchy.L1)
 
 let test_exec_push_mem_operand () =
   let r =
@@ -336,7 +350,7 @@ let test_transient_cache_effect_persists () =
   let addr = 0xC0000 + (1000 * 4096) in
   let probe = Cache.Hierarchy.load r.E.hierarchy ~owner:Cache.Owner.Attacker addr in
   check_bool "line cached by transient path" true
-    (probe.Cache.Hierarchy.l1_hit || probe.Cache.Hierarchy.llc_hit)
+    (probe <> Cache.Hierarchy.Memory)
 
 let test_no_transient_without_speculation () =
   let r =
@@ -346,7 +360,7 @@ let test_no_transient_without_speculation () =
   let addr = 0xC0000 + (1000 * 4096) in
   let probe = Cache.Hierarchy.load r.E.hierarchy ~owner:Cache.Owner.Attacker addr in
   check_bool "no transient fetch with window 0" false
-    (probe.Cache.Hierarchy.l1_hit || probe.Cache.Hierarchy.llc_hit)
+    (probe <> Cache.Hierarchy.Memory)
 
 let test_transient_register_squashed () =
   let r = run (spectre_gadget_prog ()) in
@@ -389,7 +403,7 @@ let test_fence_stops_transient () =
   let addr = 0xC0000 + (1000 * 4096) in
   let probe = Cache.Hierarchy.load r.E.hierarchy ~owner:Cache.Owner.Attacker addr in
   check_bool "fence blocked the transient load" false
-    (probe.Cache.Hierarchy.l1_hit || probe.Cache.Hierarchy.llc_hit)
+    (probe <> Cache.Hierarchy.Memory)
 
 (* ---- Protected memory / Meltdown window --------------------------------------------- *)
 
@@ -443,7 +457,7 @@ let test_fault_transient_footprint () =
       (0x200000 + (7 * 4096))
   in
   check_bool "secret-indexed line cached" true
-    (probe.Cache.Hierarchy.l1_hit || probe.Cache.Hierarchy.llc_hit);
+    (probe <> Cache.Hierarchy.Memory);
   check_int "architectural r12 stays 0" 0 (reg r R.R12)
 
 let test_fault_no_window_without_speculation () =
@@ -466,7 +480,7 @@ let test_fault_no_window_without_speculation () =
       (0x200000 + (7 * 4096))
   in
   check_bool "no footprint with window 0" false
-    (probe.Cache.Hierarchy.l1_hit || probe.Cache.Hierarchy.llc_hit)
+    (probe <> Cache.Hierarchy.Memory)
 
 let test_no_protection_by_default () =
   let init m = M.store m 0x70080 123 in
@@ -558,14 +572,6 @@ let test_access_trace_recorded () =
   let times = List.map (fun a -> a.Hpc.Collector.time) accs in
   check_bool "times increase" true (List.sort compare times = times)
 
-let test_run_addresses () =
-  let h =
-    E.run_addresses ~owner:Cache.Owner.Attacker
-      [ (0x100, Hpc.Collector.Load); (0x200, Hpc.Collector.Store) ]
-  in
-  let r = Cache.Hierarchy.load h ~owner:Cache.Owner.Attacker 0x100 in
-  check_bool "replayed line cached" true r.Cache.Hierarchy.l1_hit
-
 (* ---- determinism ---------------------------------------------------------------------- *)
 
 let prop_execution_deterministic =
@@ -592,6 +598,160 @@ let prop_attack_runs_deterministic =
          Array.to_list (Workloads.Attacks.result_histogram r))
       in
       go () = go ())
+
+
+(* ---- golden fingerprint ------------------------------------------------------------- *)
+
+(* Everything a run observably produces, digested: retired instructions,
+   cycles, halting, the per-pc counters, execution counts and first times,
+   the ordered access log, the final memory and each cache level's state.
+   The pinned digests were recorded once and must never move: a change that
+   is meant only to make the simulator faster leaves every one of them
+   unchanged. *)
+
+module D = Workloads.Dataset
+module A = Workloads.Attacks
+
+let level_states h =
+  let l1d, l1i, llc = Cache.Hierarchy.states h in
+  [ l1d; l1i; llc ]
+
+let kind_code = function
+  | Hpc.Collector.Load -> 'L'
+  | Hpc.Collector.Store -> 'S'
+  | Hpc.Collector.Flush -> 'F'
+
+let add_run buf ~name ?victim_hierarchy p (r : E.result) =
+  let pr fmt = Printf.bprintf buf fmt in
+  pr "%s %d %d %b\n" name r.E.instructions r.E.cycles r.E.halted_normally;
+  let col = r.E.collector in
+  for i = 0 to P.length p - 1 do
+    let pc = P.addr_of_index p i in
+    pr "pc %d %d %s" i (Hpc.Collector.exec_count col ~pc)
+      (match Hpc.Collector.first_time col ~pc with
+      | Some t -> string_of_int t
+      | None -> "-");
+    (match Hpc.Collector.counters_at col ~pc with
+    | Some c ->
+      List.iter (fun e -> pr " %d" (Hpc.Counters.get c e)) Hpc.Event.all
+    | None -> pr " -");
+    pr "\n"
+  done;
+  List.iter
+    (fun (a : Hpc.Collector.access) ->
+      pr "a %d %d %c %d\n" a.Hpc.Collector.pc a.Hpc.Collector.target
+        (kind_code a.Hpc.Collector.kind) a.Hpc.Collector.time)
+    (Hpc.Collector.accesses col);
+  M.fold_mem r.E.machine ~init:[] ~f:(fun a v acc -> (a, v) :: acc)
+  |> List.sort compare
+  |> List.iter (fun (a, v) -> pr "m %d %d\n" a v);
+  let states h =
+    List.iter
+      (fun (s : Cache.State.t) -> pr "s %h %h\n" s.Cache.State.ao s.Cache.State.io)
+      (level_states h)
+  in
+  states r.E.hierarchy;
+  Option.iter states victim_hierarchy
+
+let digest_of runs =
+  let buf = Buffer.create 65536 in
+  List.iter (fun f -> f buf) runs;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let sample_run ?hierarchy (s : D.sample) buf =
+  add_run buf ~name:s.D.name s.D.program (D.run ?hierarchy s)
+
+let fingerprint_rng () = Sutil.Rng.create 20261018
+
+let corpus_pocs () =
+  D.base_samples () @ [ D.of_spec (A.meltdown_fr ()) ]
+
+let corpus_mutated () =
+  let rng = fingerprint_rng () in
+  List.concat_map
+    (fun l -> D.mutated_attacks ~rng ~count:2 l)
+    Workloads.Label.attack_labels
+
+let corpus_obfuscated () =
+  let rng = fingerprint_rng () in
+  List.concat_map
+    (fun l -> D.obfuscated_attacks ~rng ~count:1 l)
+    Workloads.Label.attack_labels
+
+let corpus_benign () = D.benign_samples ~rng:(fingerprint_rng ()) ~count:12
+
+let variant_runs name =
+  let make = List.assoc name Experiments.Robustness.hierarchy_variants in
+  List.map
+    (fun (spec : A.spec) buf ->
+      let hierarchy, victim_hierarchy = make () in
+      add_run buf ~name:spec.A.name ?victim_hierarchy spec.A.program
+        (A.run_spec ~hierarchy ?victim_hierarchy spec))
+    (A.base_pocs ())
+
+let golden =
+  [
+    ( "base PoCs",
+      "1034647fe3b6d2e84e41e61fdfc9ed86",
+      fun () -> List.map sample_run (corpus_pocs ()) );
+    ( "mutated",
+      "5d6631d1e48a467c001c4a48777967e2",
+      fun () -> List.map sample_run (corpus_mutated ()) );
+    ( "obfuscated",
+      "2874ada6ea99c95f5edb5cf332e7d10e",
+      fun () -> List.map sample_run (corpus_obfuscated ()) );
+    ( "benign",
+      "2a633da36d254227ba21df5c42b04221",
+      fun () -> List.map sample_run (corpus_benign ()) );
+    ( "FIFO",
+      "d163faed557059e443a0da68e7600a6a",
+      fun () -> variant_runs "FIFO" );
+    ( "Random",
+      "a06a17b0ebe4341fd57bc0130548c2cf",
+      fun () -> variant_runs "Random" );
+    ( "prefetcher",
+      "407d52d28e46952becdd0ec42d251963",
+      fun () -> variant_runs "prefetcher" );
+    ( "non-inclusive LLC",
+      "b3d31b9db309afc6e805ab1b3ccae240",
+      fun () -> variant_runs "non-inclusive LLC" );
+    ( "cross-core",
+      "f87575c7b6af4544870dd1022a13d338",
+      fun () -> variant_runs "cross-core" );
+  ]
+
+let golden_cases =
+  List.map
+    (fun (name, pinned, runs) ->
+      Alcotest.test_case name `Quick (fun () ->
+          Alcotest.(check string) name pinned (digest_of (runs ()))))
+    golden
+
+(* One hierarchy serving run after run, reset in between, is
+   indistinguishable from a fresh one per run — what lets the batch builder
+   keep one hierarchy per worker. *)
+let prop_reused_hierarchy_is_fresh =
+  QCheck.Test.make ~name:"reset hierarchy reuse = fresh create" ~count:8
+    QCheck.small_int
+    (fun seed ->
+      let rng = Sutil.Rng.create seed in
+      let pocs = Array.of_list (corpus_pocs ()) in
+      let samples =
+        pocs.(seed mod Array.length pocs) :: D.benign_samples ~rng ~count:2
+      in
+      let policy =
+        List.nth Cache.Policy.[ Lru; Fifo; Random (seed + 1) ] (seed mod 3)
+      in
+      let reused = Cache.Hierarchy.create ~policy () in
+      List.for_all
+        (fun (s : D.sample) ->
+          Cache.Hierarchy.reset reused;
+          let on_reused = digest_of [ sample_run ~hierarchy:reused s ] in
+          let on_fresh =
+            digest_of [ sample_run ~hierarchy:(Cache.Hierarchy.create ~policy ()) s ]
+          in
+          on_reused = on_fresh)
+        samples)
 
 let () =
   Alcotest.run "cpu"
@@ -665,6 +825,7 @@ let () =
         [
           Alcotest.test_case "events per pc" `Quick test_events_recorded_per_pc;
           Alcotest.test_case "access trace" `Quick test_access_trace_recorded;
-          Alcotest.test_case "run_addresses" `Quick test_run_addresses;
         ] );
+      ("golden", golden_cases);
+      ("reuse", [ QCheck_alcotest.to_alcotest prop_reused_hierarchy_is_fresh ]);
     ]

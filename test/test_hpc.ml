@@ -50,32 +50,59 @@ let test_counters_vector () =
   check_int "dense length" Ev.count (Array.length v);
   Alcotest.(check (float 0.0)) "slot" 1.0 v.(Ev.index Ev.Llc_load_hit)
 
+(* A 32-instruction program at base 0: instruction [i] is at pc [4 * i]. *)
+let collector () =
+  Col.create
+    (Isa.Program.assemble ~base:0 ~name:"c"
+       (List.init 32 (fun _ -> Isa.Program.Ins Isa.Instr.Nop)))
+
 let test_collector_events_and_values () =
-  let col = Col.create () in
-  Col.record_event col ~pc:0x10 Ev.L1d_load_miss;
-  Col.record_event col ~pc:0x10 Ev.Llc_load_miss;
-  Col.record_event col ~pc:0x20 Ev.Timestamp;
+  let col = collector () in
+  Col.record_event col ~idx:4 Ev.L1d_load_miss;
+  Col.record_event col ~idx:4 Ev.Llc_load_miss;
+  Col.record_event col ~idx:8 Ev.Timestamp;
   check_int "hpc value at 0x10" 2 (Col.hpc_value_at col ~pc:0x10);
   check_int "timestamp-only pc has 0" 0 (Col.hpc_value_at col ~pc:0x20);
   check_int "unknown pc" 0 (Col.hpc_value_at col ~pc:0x30);
+  check_int "outside the program" 0 (Col.hpc_value_at col ~pc:0x1000);
+  check_bool "bank only where an event fired" true
+    (Option.is_some (Col.counters_at col ~pc:0x20)
+    && Option.is_none (Col.counters_at col ~pc:0x30));
   check_int "total" 3 (Ct.total (Col.total_counters col))
 
 let test_collector_accesses () =
-  let col = Col.create () in
-  Col.record_access col ~pc:1 ~target:100 ~kind:Col.Load ~time:5;
-  Col.record_access col ~pc:2 ~target:200 ~kind:Col.Flush ~time:9;
-  Col.record_access col ~pc:1 ~target:300 ~kind:Col.Store ~time:12;
+  let col = collector () in
+  Col.record_access col ~idx:1 ~target:100 ~kind:Col.Load ~time:5;
+  Col.record_access col ~idx:2 ~target:200 ~kind:Col.Flush ~time:9;
+  Col.record_access col ~idx:1 ~target:300 ~kind:Col.Store ~time:12;
   check_int "count" 3 (Col.access_count col);
   let accs = Col.accesses col in
   check_bool "chronological" true
     (List.map (fun a -> a.Col.time) accs = [ 5; 9; 12 ]);
-  check_int "per-pc filter" 2 (List.length (Col.accesses_of_pc col ~pc:1))
+  check_bool "pcs" true (List.map (fun a -> a.Col.pc) accs = [ 4; 8; 4 ]);
+  (* the log read in place agrees with the materialized list *)
+  check_int "per-instruction count" 2
+    (List.length
+       (List.filter (fun i -> Col.access_index col i = 1) [ 0; 1; 2 ]));
+  check_bool "in-place fields" true
+    (Col.access_target col 2 = 300 && Col.access_kind col 1 = Col.Flush)
+
+let test_collector_log_grows () =
+  let col = collector () in
+  for i = 0 to 4999 do
+    Col.record_access col ~idx:(i mod 32) ~target:i ~kind:Col.Load ~time:i
+  done;
+  check_int "count" 5000 (Col.access_count col);
+  check_bool "every entry kept in order" true
+    (List.for_all2
+       (fun i (a : Col.access) -> a.Col.target = i && a.Col.pc = 4 * (i mod 32))
+       (List.init 5000 Fun.id) (Col.accesses col))
 
 let test_collector_first_time_and_counts () =
-  let col = Col.create () in
-  Col.note_executed col ~pc:0x40 ~time:100;
-  Col.note_executed col ~pc:0x40 ~time:200;
-  Col.note_executed col ~pc:0x44 ~time:150;
+  let col = collector () in
+  Col.note_executed col ~idx:16 ~time:100;
+  Col.note_executed col ~idx:16 ~time:200;
+  Col.note_executed col ~idx:17 ~time:150;
   Alcotest.(check (option int)) "first kept" (Some 100) (Col.first_time col ~pc:0x40);
   check_int "exec count" 2 (Col.exec_count col ~pc:0x40);
   check_int "unknown count" 0 (Col.exec_count col ~pc:0x99);
@@ -114,6 +141,7 @@ let () =
         [
           Alcotest.test_case "events and values" `Quick test_collector_events_and_values;
           Alcotest.test_case "accesses" `Quick test_collector_accesses;
+          Alcotest.test_case "log grows" `Quick test_collector_log_grows;
           Alcotest.test_case "first time / counts" `Quick
             test_collector_first_time_and_counts;
         ] );

@@ -421,6 +421,36 @@ let test_sink_concurrent () =
   Alcotest.(check bool) "every push kept exactly once" true
     (Sutil.Sink.contents s = List.init (per_domain * domains) Fun.id)
 
+(* ---- Int_table --------------------------------------------------------- *)
+
+(* Any sequence of replaces agrees with Hashtbl as a reference map, across
+   growth, for every key including min_int and page-strided addresses. *)
+let prop_int_table_matches_hashtbl =
+  let key =
+    QCheck.Gen.(
+      oneof
+        [ int_range (-50) 50; map (fun k -> k * 4096) (int_range 0 300);
+          return min_int; return max_int ])
+  in
+  QCheck.Test.make ~name:"int_table = Hashtbl" ~count:200
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 400) (pair key small_int)))
+    (fun ops ->
+      let t = Sutil.Int_table.create 4 and h = Hashtbl.create 4 in
+      List.iter
+        (fun (k, v) ->
+          Sutil.Int_table.replace t k v;
+          Hashtbl.replace h k v)
+        ops;
+      let sorted l = List.sort compare l in
+      sorted (Sutil.Int_table.fold t ~init:[] ~f:(fun k v acc -> (k, v) :: acc))
+         = sorted (Hashtbl.fold (fun k v acc -> (k, v) :: acc) h [])
+      && List.for_all
+           (fun (k, _) ->
+             Sutil.Int_table.mem t k
+             && Sutil.Int_table.find t k ~default:(-1) = Hashtbl.find h k)
+           ops
+      && (Hashtbl.mem h 7 || Sutil.Int_table.find t 7 ~default:(-1) = -1))
+
 let () =
   Alcotest.run "sutil"
     [
@@ -478,6 +508,10 @@ let () =
         ] );
       ( "deadline",
         [ Alcotest.test_case "budget arithmetic" `Quick test_deadline ] );
+      ( "int_table",
+        [
+          QCheck_alcotest.to_alcotest prop_int_table_matches_hashtbl;
+        ] );
       ( "sink",
         [
           Alcotest.test_case "bound, dropped, clear" `Quick test_sink_bound;
